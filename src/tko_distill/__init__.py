@@ -45,7 +45,6 @@ from .distill import (
     bbpssw_initial_fidelity,
     bbpssw_step,
     bbpssw_trace,
-    first_round_closed_form,
     recurrence_analytic,
     recurrence_step,
     round_branches,
@@ -100,7 +99,6 @@ __all__ = [
     "channel_to_json",
     "choi",
     "convergence_ratios",
-    "first_round_closed_form",
     "fp_branch_operators",
     "kraus_from_params",
     "locc_fidelity",

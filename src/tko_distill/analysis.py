@@ -3,9 +3,7 @@ checks, and parameter sweeps over families of two-Kraus channels.
 
 The functions here consume the traces produced by :mod:`tko_distill.distill`
 and the canonical parameters from :mod:`tko_distill.state` / ``channel``.
-Sweeps can fan out over a thread pool; the worker count is controlled by the
-``TKO_DISTILL_THREADS`` environment variable (unset or ``0`` means one worker
-per CPU, ``1`` forces serial execution).
+Sweeps run their (channel, policy) cells one after another, in grid order.
 """
 
 from __future__ import annotations
@@ -13,10 +11,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TextIO, TypeVar
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -32,9 +28,6 @@ from .distill import (
 from .errors import DomainError
 from .linalg import ID2, kron
 from .state import CanonicalStateParams, params_analytic
-
-_T = TypeVar("_T")
-_U = TypeVar("_U")
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +307,7 @@ SWEEP_COLUMNS = (
 
 
 def _channel_for(p: float, abs_eta: float) -> CanonicalChannelParams:
+    """Canonical channel (p, |eta|) with real eta and identity rotations."""
     zeta = math.sqrt(max(1.0 - abs_eta**2, 0.0))
     return CanonicalChannelParams(p=p, eta=complex(abs_eta), zeta=zeta)
 
@@ -360,26 +354,6 @@ def run_point(
     )
 
 
-def thread_count() -> int:
-    """Worker count from ``TKO_DISTILL_THREADS`` (0 or unset: one per CPU)."""
-    raw = os.environ.get("TKO_DISTILL_THREADS", "0")
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count <= 0:
-        count = os.cpu_count() or 1
-    return count
-
-
-def _map_ordered(fn: Callable[[_T], _U], items: Sequence[_T]) -> list[_U]:
-    workers = thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 _ALL_POLICIES = (Policy.FP, Policy.PP, Policy.QPA, Policy.BBPSSW)
 
 
@@ -392,13 +366,11 @@ def sweep_p(
     seed: int = 0,
 ) -> list[SweepPoint]:
     """Sweep the noise severity at fixed channel type ``|eta|``."""
-    cells = [(p, pol) for p in p_values for pol in policies]
-    return _map_ordered(
-        lambda cell: run_point(
-            cell[0], abs_eta, cell[1], f_th=f_th, max_rounds=max_rounds, seed=seed
-        ),
-        cells,
-    )
+    return [
+        run_point(p, abs_eta, pol, f_th=f_th, max_rounds=max_rounds, seed=seed)
+        for p in p_values
+        for pol in policies
+    ]
 
 
 def sweep_eta(
@@ -410,16 +382,15 @@ def sweep_eta(
     seed: int = 0,
 ) -> list[SweepPoint]:
     """Sweep the channel type ``|eta|`` at fixed noise severity ``p``."""
-    cells = [(abs_eta, pol) for abs_eta in eta_values for pol in policies]
-    return _map_ordered(
-        lambda cell: run_point(
-            p, cell[0], cell[1], f_th=f_th, max_rounds=max_rounds, seed=seed
-        ),
-        cells,
-    )
+    return [
+        run_point(p, abs_eta, pol, f_th=f_th, max_rounds=max_rounds, seed=seed)
+        for abs_eta in eta_values
+        for pol in policies
+    ]
 
 
 def _cell(value) -> str:
+    """Full-precision, locale-independent cell rendering for CSV output."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -448,12 +419,7 @@ def sweep_to_csv(points: Sequence[SweepPoint], stream: TextIO) -> None:
     writer.writerow(SWEEP_COLUMNS)
     for point in points:
         row = sweep_row(point)
-        writer.writerow(
-            [
-                _cell(row[col]) if not isinstance(row[col], str) else row[col]
-                for col in SWEEP_COLUMNS
-            ]
-        )
+        writer.writerow([_cell(row[col]) for col in SWEEP_COLUMNS])
 
 
 def sweep_to_json(points: Sequence[SweepPoint], stream: TextIO) -> None:

@@ -27,7 +27,15 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .analysis import SweepPoint, sweep_eta, sweep_p, sweep_to_csv, sweep_to_json
+from .analysis import (
+    SweepPoint,
+    _cell,
+    _channel_for,
+    sweep_eta,
+    sweep_p,
+    sweep_to_csv,
+    sweep_to_json,
+)
 from .channel import (
     CanonicalChannelParams,
     KrausPair,
@@ -64,17 +72,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValueError(message)
-
-
-def _fmt(value) -> str:
-    """Full-precision, locale-independent cell rendering for CSV output."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
 
 
 def _print_json(obj, stream: TextIO) -> None:
@@ -125,27 +122,8 @@ def _load_spec(args) -> tuple[KrausPair, CanonicalChannelParams | None]:
         raise ValueError("channel input required: --in FILE or both --p and --eta")
     if not 0.0 <= args.eta <= 1.0:
         raise ValueError("--eta takes |eta| in [0, 1]")
-    cp = _inline_params(args.p, args.eta)
+    cp = _channel_for(args.p, args.eta)
     return kraus_from_params(cp), cp
-
-
-def _inline_params(p: float, abs_eta: float) -> CanonicalChannelParams:
-    zeta = math.sqrt(max(1.0 - abs_eta**2, 0.0))
-    return CanonicalChannelParams(p=p, eta=complex(abs_eta), zeta=zeta)
-
-
-def _canonical_params(kp: KrausPair, cp: CanonicalChannelParams | None) -> CanonicalChannelParams:
-    """Canonical parameters of the input, tolerating one-Kraus (unitary) specs.
-
-    A spec whose second operator vanishes describes a noiseless (unitary)
-    channel; it has no genuine two-operator form, so report p = 0 with the
-    unitary folded into U.
-    """
-    if cp is not None:
-        return cp
-    if float(np.linalg.norm(kp.c2)) < 1e-12:
-        return CanonicalChannelParams(p=0.0, eta=0j, zeta=1.0, u=kp.c1, v=np.eye(2, dtype=complex))
-    return canonicalize(kp)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +137,7 @@ def _cmd_validate(args) -> int:
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["ok", "deviation"])
-        writer.writerow([_fmt(result.ok), _fmt(result.deviation)])
+        writer.writerow([_cell(result.ok), _cell(result.deviation)])
     else:
         _print_json({"ok": result.ok, "deviation": result.deviation}, sys.stdout)
     return 0
@@ -167,11 +145,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_canonicalize(args) -> int:
     kp, cp_in = _load_spec(args)
-    cp = _canonical_params(kp, cp_in)
+    cp = cp_in if cp_in is not None else canonicalize(kp)
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["p", "abs_eta", "zeta"])
-        writer.writerow([_fmt(cp.p), _fmt(cp.abs_eta), _fmt(cp.zeta)])
+        writer.writerow([_cell(cp.p), _cell(cp.abs_eta), _cell(cp.zeta)])
     else:
         _print_json(params_to_json(cp), sys.stdout)
     return 0
@@ -184,7 +162,7 @@ def _cmd_state(args) -> int:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         cols = ["fidelity", "alpha", "beta", "gamma", "delta", "theta"]
         writer.writerow(cols)
-        writer.writerow([_fmt(float(getattr(params, c))) for c in cols])
+        writer.writerow([_cell(float(getattr(params, c))) for c in cols])
     else:
         _print_json(
             {
@@ -220,7 +198,7 @@ def _write_trace(trace: DistillationTrace, fmt: str, stream: TextIO) -> None:
         writer.writerow(["round", "fidelity", "keep_prob", "cumulative_yield"])
         for rec in trace.records:
             writer.writerow(
-                [rec.round_index, _fmt(rec.fidelity), _fmt(rec.keep_prob), _fmt(rec.cumulative_yield)]
+                [rec.round_index, _cell(rec.fidelity), _cell(rec.keep_prob), _cell(rec.cumulative_yield)]
             )
     else:
         _print_json(
@@ -256,7 +234,7 @@ def _traces_disagree(a: DistillationTrace, b: DistillationTrace) -> str | None:
 
 def _cmd_distill(args) -> int:
     kp, cp_in = _load_spec(args)
-    cp = _canonical_params(kp, cp_in)
+    cp = cp_in if cp_in is not None else canonicalize(kp)
     policy = Policy(args.policy)
     if args.check_analytic:
         if args.engine != "exact":
@@ -356,7 +334,7 @@ def _figure_two_rows() -> tuple[list[str], list[list]]:
         traces: dict[Policy, DistillationTrace | None] = {}
         for pol in policies:
             try:
-                traces[pol] = run(_inline_params(p, abs_eta), pol)
+                traces[pol] = run(_channel_for(p, abs_eta), pol)
             except DomainError:
                 traces[pol] = None
         depth = max(len(t.records) for t in traces.values() if t is not None)
@@ -376,7 +354,7 @@ def _cmd_figure(args) -> int:
             writer = csv.writer(sys.stdout, lineterminator="\n")
             writer.writerow(header)
             for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+                writer.writerow([_cell(v) for v in row])
         else:
             _print_json([dict(zip(header, row)) for row in rows], sys.stdout)
         return 0

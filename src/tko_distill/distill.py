@@ -22,7 +22,7 @@ import numpy as np
 from .channel import CanonicalChannelParams, kraus_from_params
 from .errors import DegenerateProtocolError, EntanglementDestroyedError, NonDistillableError
 from .linalg import HADAMARD, ID2, PHI_PLUS, dagger, pure_fidelity
-from .state import CanonicalStateParams, canonical_decompose, shared_state
+from .state import CanonicalStateParams, canonical_decompose, params_analytic, shared_state
 
 CNOT = np.array(
     [
@@ -238,31 +238,6 @@ def first_round_rates(
     raise ValueError(f"no closed-form first round for policy {policy}")
 
 
-def first_round_closed_form(
-    f0: float, alpha: float, beta: float, gamma: float, delta: float, policy: Policy
-) -> tuple[float, float]:
-    """Direct closed forms (P1, F1) in the raw state parameters.
-
-    P1 composes the filter keep probability with the round-1 branch; it is
-    algebraically identical to rssp_analytic + first_round_rates, and tests
-    hold both routes against the exact engine.
-    """
-    odd = alpha**2 * gamma**2 + beta**2 * delta**2
-    if policy is Policy.FP:
-        p1 = (f0**2 * alpha**2 * beta**4 + (1.0 - f0) ** 2 * beta**2 * gamma**2 * delta**2) / (
-            2.0 * f0 * alpha**2 * beta**2 + (1.0 - f0) * odd
-        )
-        f1 = f0**2 / (f0**2 + (1.0 - f0) ** 2 * (gamma * delta / (alpha * beta)) ** 2)
-        return p1, f1
-    if policy is Policy.PP:
-        p1 = (4.0 * f0**2 * alpha**4 * beta**4 + (1.0 - f0) ** 2 * odd**2) / (
-            4.0 * f0 * alpha**4 * beta**2 + 2.0 * (1.0 - f0) * alpha**2 * odd
-        )
-        f1 = f0**2 / (f0**2 + 0.25 * (1.0 - f0) ** 2 * (gamma**2 / beta**2 + delta**2 / alpha**2) ** 2)
-        return p1, f1
-    raise ValueError(f"no closed-form first round for policy {policy}")
-
-
 def bbpssw_step(f: float) -> tuple[float, float]:
     """Werner-state recursion: next fidelity and two-pair success probability."""
     if f <= 0.5:
@@ -393,33 +368,25 @@ def run(
     if engine not in (None, "analytic", "exact"):
         raise ValueError(f"unknown engine {engine!r}")
 
-    rho = shared_state(kraus_from_params(channel))
-
     if policy is Policy.QPA:
         if engine == "analytic":
             raise ValueError("QPA has no analytic recurrence; use the exact engine")
+        rho = shared_state(kraus_from_params(channel))
         prep = np.kron(HADAMARD, HADAMARD)
         return _exact_trace(
             prep @ rho @ dagger(prep), policy, f_th, max_rounds, 1.0, plateau_detect=True
         )
 
-    params = canonical_decompose(rho)
-
-    if policy is Policy.BBPSSW:
-        f_b = bbpssw_initial_fidelity(params.fidelity, params.alpha, params.beta)
-        return bbpssw_trace(f_b, f_th, max_rounds)
-
-    if engine == "exact":
+    if engine == "exact" and policy is not Policy.BBPSSW:
+        rho = shared_state(kraus_from_params(channel))
+        params = canonical_decompose(rho)
         rot = np.kron(params.u_a, params.u_b)
         p_s, filtered = rssp_apply(rot @ rho @ dagger(rot), params)
         return _exact_trace(filtered, policy, f_th, max_rounds, p_s, plateau_detect=False)
-    return recurrence_analytic(
-        params.fidelity,
-        params.alpha,
-        params.beta,
-        params.gamma,
-        params.delta,
-        policy,
-        f_th,
-        max_rounds,
-    )
+
+    # u, v and the phase of eta act locally, so the closed forms in (p, |eta|)
+    # carry everything the analytic recurrences need.
+    f0, alpha, beta, gamma, delta = params_analytic(channel.p, channel.abs_eta)
+    if policy is Policy.BBPSSW:
+        return bbpssw_trace(bbpssw_initial_fidelity(f0, alpha, beta), f_th, max_rounds)
+    return recurrence_analytic(f0, alpha, beta, gamma, delta, policy, f_th, max_rounds)

@@ -1,10 +1,11 @@
-"""Shared helpers for the test suite: parameter grids and random channels."""
+"""Shared helpers for the test suite: parameter grids, random channels and the
+round-1 closed-form oracle."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from tko_distill import CanonicalChannelParams, KrausPair, kraus_from_params, remix
+from tko_distill import CanonicalChannelParams, KrausPair, Policy, kraus_from_params, remix
 
 # (p, |eta|) grid: nine noise severities times five channel types running from
 # phase damping (|eta| = 0) to amplitude damping (|eta| = 1).
@@ -62,3 +63,29 @@ def random_channel(
     if remixed:
         kp = remix(kp, haar_unitary(rng))
     return kp, p, abs_eta
+
+
+def first_round_closed_form(
+    f0: float, alpha: float, beta: float, gamma: float, delta: float, policy: Policy
+) -> tuple[float, float]:
+    """Direct closed forms (P1, F1) in the raw state parameters.
+
+    P1 composes the filter keep probability with the round-1 branch.  The
+    library reaches round 1 through rssp_analytic + first_round_rates; this
+    algebraically identical route is the independent oracle that both that
+    path and the exact engine are checked against.
+    """
+    odd = alpha**2 * gamma**2 + beta**2 * delta**2
+    if policy is Policy.FP:
+        p1 = (f0**2 * alpha**2 * beta**4 + (1.0 - f0) ** 2 * beta**2 * gamma**2 * delta**2) / (
+            2.0 * f0 * alpha**2 * beta**2 + (1.0 - f0) * odd
+        )
+        f1 = f0**2 / (f0**2 + (1.0 - f0) ** 2 * (gamma * delta / (alpha * beta)) ** 2)
+        return p1, f1
+    if policy is Policy.PP:
+        p1 = (4.0 * f0**2 * alpha**4 * beta**4 + (1.0 - f0) ** 2 * odd**2) / (
+            4.0 * f0 * alpha**4 * beta**2 + 2.0 * (1.0 - f0) * alpha**2 * odd
+        )
+        f1 = f0**2 / (f0**2 + 0.25 * (1.0 - f0) ** 2 * (gamma**2 / beta**2 + delta**2 / alpha**2) ** 2)
+        return p1, f1
+    raise ValueError(f"no closed-form first round for policy {policy}")

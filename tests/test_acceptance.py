@@ -12,14 +12,13 @@ import time
 
 import numpy as np
 
-from helpers import ETA_FRACTIONS, GRID, plain_params, random_channel
+from helpers import ETA_FRACTIONS, GRID, first_round_closed_form, plain_params, random_channel
 from tko_distill import (
     Policy,
     average_yield,
     canonical_decompose,
     canonicalize,
     choi,
-    first_round_closed_form,
     fp_branch_operators,
     kraus_from_params,
     locc_fidelity,

@@ -6,14 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from helpers import GRID, plain_params
+from helpers import GRID, first_round_closed_form, plain_params
 from tko_distill import (
     DistillationTrace,
     Policy,
     RoundRecord,
     average_yield,
     convergence_ratios,
-    first_round_closed_form,
     fp_branch_operators,
     locc_fidelity,
     optimal_fidelity_channel,
@@ -27,7 +26,7 @@ from tko_distill import (
     sweep_to_csv,
     sweep_to_json,
 )
-from tko_distill.analysis import analytic_state_params, thread_count
+from tko_distill.analysis import analytic_state_params
 
 HALF = float(np.sqrt(0.5))
 
@@ -248,29 +247,11 @@ def test_sweep_json_parses_back():
     assert abs(data[0]["yield_avg"] - points[0].report.average_yield) < 1e-15
 
 
-def test_sweep_deterministic_and_thread_invariant(monkeypatch):
+def test_sweep_deterministic():
     def render(points):
         buf = io.StringIO()
         sweep_to_csv(points, buf)
         return buf.getvalue()
 
     args = (1.0, [0.1, 0.4, 0.7])
-    monkeypatch.setenv("TKO_DISTILL_THREADS", "1")
-    serial = render(sweep_p(*args))
-    assert thread_count() == 1
-    monkeypatch.setenv("TKO_DISTILL_THREADS", "5")
-    threaded = render(sweep_p(*args))
-    assert thread_count() == 5
-    assert serial == threaded
-    assert serial == render(sweep_p(*args))
-
-
-def test_thread_count_parsing(monkeypatch):
-    monkeypatch.setenv("TKO_DISTILL_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("TKO_DISTILL_THREADS", "not-a-number")
-    assert thread_count() >= 1
-    monkeypatch.setenv("TKO_DISTILL_THREADS", "0")
-    assert thread_count() >= 1
-    monkeypatch.delenv("TKO_DISTILL_THREADS")
-    assert thread_count() >= 1
+    assert render(sweep_p(*args)) == render(sweep_p(*args))

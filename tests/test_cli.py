@@ -59,13 +59,11 @@ def test_validate_file_and_malformed_input(cli, tmp_path):
     assert json.loads(err)["error"] == "input-error"
 
 
-def test_canonicalize_identity_channel_maps_to_zero_noise(cli, tmp_path):
+def test_canonicalize_identity_channel_is_single_kraus(cli, tmp_path):
     ident = KrausPair(np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex))
-    rc, out, _ = cli("canonicalize", "--in", _write_channel(tmp_path, ident))
-    assert rc == 0
-    data = json.loads(out)
-    assert data["p"] == 0.0
-    assert data["zeta"] == 1.0
+    rc, out, err = cli("canonicalize", "--in", _write_channel(tmp_path, ident))
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "single-kraus-channel"
 
 
 def test_canonicalize_inline_and_csv(cli):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import GRID, ID2, plain_params, random_channel
+from helpers import GRID, ID2, first_round_closed_form, plain_params, random_channel
 from tko_distill import (
     CanonicalStateParams,
     EntanglementDestroyedError,
@@ -14,7 +14,7 @@ from tko_distill import (
     bbpssw_trace,
     canonical_decompose,
     canonicalize,
-    first_round_closed_form,
+    optimal_fidelity_channel,
     params_analytic,
     shared_state,
     recurrence_analytic,
@@ -277,6 +277,25 @@ def test_run_domain_errors():
         run(plain_params(1.0, 0.5), Policy.FP)
     with pytest.raises(NonDistillableError):
         run(plain_params(0.9, 1.0), Policy.BBPSSW)
+
+
+def test_run_at_the_edge_of_the_domain():
+    # At p = 1 - 1e-9 the fidelity weight sits within 1e-9 (|eta| = 1) or 2e-5
+    # (|eta| = 1e-5) of 1/2, where a numerical decomposition of the shared
+    # state is unreliable; the closed forms in (p, |eta|) still hold.
+    p = 1.0 - 1e-9
+    amp = plain_params(p, 1.0)
+    fp = run(amp, Policy.FP)
+    assert fp.reached and fp.rounds == 1
+    assert abs(fp.final_fidelity - optimal_fidelity_channel(p, 1.0)) < 1e-12
+    assert run(amp, Policy.PP).reached
+    with pytest.raises(NonDistillableError):
+        run(amp, Policy.BBPSSW)
+    assert not run(amp, Policy.QPA).reached
+    near_phase = plain_params(p, 1e-5)
+    traces = {pol: run(near_phase, pol) for pol in (Policy.FP, Policy.PP, Policy.BBPSSW)}
+    f1 = traces[Policy.FP].records[1].fidelity
+    assert abs(f1 - optimal_fidelity_channel(p, 1e-5)) < 1e-12
 
 
 def test_run_engines_agree_on_dressed_channels():
