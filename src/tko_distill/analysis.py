@@ -17,17 +17,20 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .channel import CanonicalChannelParams
-from .distill import (
-    CNOT,
-    DistillationTrace,
-    PAIR_INTERLEAVE,
-    Policy,
-    rssp_ops,
-    run,
-)
+from .distill import DistillationTrace, Policy, rssp_ops, run
 from .errors import DomainError
 from .linalg import ID2, kron
 from .state import CanonicalStateParams, params_analytic
+
+CNOT = np.array(
+    [
+        [1, 0, 0, 0],
+        [0, 1, 0, 0],
+        [0, 0, 0, 1],
+        [0, 0, 1, 0],
+    ],
+    dtype=complex,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -80,23 +83,41 @@ def optimal_fidelity_channel(p: float, abs_eta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _locc_template(params: CanonicalStateParams) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and 4x4 matrices representing the two-pair source mixture.
+def _locc_template(params: CanonicalStateParams) -> np.ndarray:
+    """The two-pair source mixture as four weighted 4x4 components.
 
     The joint state of two shared pairs is a rank-four mixture of products of
-    the eigenstates ``mu`` and ``nu``.  Each component is returned reshaped as
-    a matrix indexed ``[alice, bob]`` so a product operator ``N_A (x) N_B``
+    the eigenstates ``mu`` and ``nu``.  Each component is returned scaled by
+    the square root of its weight and reshaped as a matrix indexed
+    ``[alice (a1 a2), bob (b1 b2)]``, so a product operator ``N_A (x) N_B``
     acts as ``N_A @ omega @ N_B.T``.
     """
-    mu = params.mu()
-    nu = params.nu()
+    mu = params.mu().reshape(2, 2)
+    nu = params.nu().reshape(2, 2)
     f = params.fidelity
     weights = np.array([f * f, f * (1.0 - f), (1.0 - f) * f, (1.0 - f) ** 2])
-    mats = np.empty((4, 4, 4), dtype=complex)
-    for i, (x, y) in enumerate(((mu, mu), (mu, nu), (nu, mu), (nu, nu))):
-        v16 = PAIR_INTERLEAVE @ np.kron(x, y)
-        mats[i] = v16.reshape(4, 4)
-    return weights, mats
+    pairs = ((mu, mu), (mu, nu), (nu, mu), (nu, nu))
+    mats = np.array([np.einsum("ab,cd->acbd", x, y).reshape(4, 4) for x, y in pairs])
+    return np.sqrt(weights)[:, None, None] * mats
+
+
+_PHI = ID2 / math.sqrt(2.0)  # Phi+ as a 2x2 matrix, indexed [a1, b1]
+
+
+def _locc_num_den(
+    weighted: np.ndarray, n_a: np.ndarray, n_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized fidelity and norm of the kept pair for a (b, 4, 4) stack of rounds.
+
+    The fidelity of round ``b`` is ``num[b] / den[b]``.
+    """
+    # out[b, c] = N_A[b] @ omega[c] @ N_B[b].T, built in two contractions.
+    half = np.einsum("cjk,blk->bcjl", weighted, n_b)
+    out = np.einsum("bij,bcjl->bcil", n_a, half)
+    den = np.einsum("bcil,bcil->b", out, out.conj()).real
+    kept = np.einsum("pr,bcpqrs->bcqs", _PHI, out.reshape(len(out), 4, 2, 2, 2, 2))
+    num = np.einsum("bcqs,bcqs->b", kept, kept.conj()).real
+    return num, den
 
 
 def locc_fidelity(
@@ -113,18 +134,10 @@ def locc_fidelity(
     n_b = np.asarray(n_b, dtype=complex)
     if n_a.shape != (4, 4) or n_b.shape != (4, 4):
         raise ValueError("local operators must be 4x4 (two qubits per party)")
-    weights, omegas = _locc_template(params)
-    phi = ID2 / math.sqrt(2.0)  # Phi+ as a 2x2 matrix, indexed [a1, b1]
-    num = 0.0
-    den = 0.0
-    for c, omega in zip(weights, omegas):
-        out = n_a @ omega @ n_b.T
-        den += c * float(np.sum(np.abs(out) ** 2))
-        kept = np.einsum("pr,pqrs->qs", phi, out.reshape(2, 2, 2, 2))
-        num += c * float(np.sum(np.abs(kept) ** 2))
-    if den <= 0.0:
+    num, den = _locc_num_den(_locc_template(params), n_a[None], n_b[None])
+    if den[0] <= 0.0:
         raise ValueError("filtering round annihilates the source mixture")
-    return num / den
+    return float(num[0] / den[0])
 
 
 def fp_branch_operators(
@@ -167,9 +180,7 @@ def random_locc_check(
     if samples < 1:
         raise ValueError("samples must be positive")
     rng = np.random.default_rng(seed)
-    weights, omegas = _locc_template(params)
-    weighted = np.sqrt(weights)[:, None, None] * omegas
-    phi = ID2 / math.sqrt(2.0)
+    weighted = _locc_template(params)
     best = 0.0
     remaining = samples
     while remaining > 0:
@@ -183,14 +194,7 @@ def random_locc_check(
         )
         n_a /= _spectral_norms(n_a)[:, None, None]
         n_b /= _spectral_norms(n_b)[:, None, None]
-        # out[b, c] = N_A[b] @ omega[c] @ N_B[b].T, built in two contractions.
-        half = np.einsum("cjk,blk->bcjl", weighted, n_b)
-        out = np.einsum("bij,bcjl->bcil", n_a, half)
-        den = np.einsum("bcil,bcil->b", out, out.conj()).real
-        kept = np.einsum(
-            "pr,bcpqrs->bcqs", phi, out.reshape(batch, 4, 2, 2, 2, 2)
-        )
-        num = np.einsum("bcqs,bcqs->b", kept, kept.conj()).real
+        num, den = _locc_num_den(weighted, n_a, n_b)
         best = max(best, float(np.max(num / den)))
     return best
 

@@ -73,6 +73,7 @@ class CanonicalChannelParams:
         object.__setattr__(self, "v", _as_kraus_matrix(self.v, "v"))
         if not -ATOL <= self.p <= 1.0 + ATOL:
             raise ValueError(f"noise severity p={self.p} outside [0, 1]")
+        object.__setattr__(self, "p", min(max(self.p, 0.0), 1.0))
         if self.zeta < -ATOL:
             raise ValueError("zeta must be non-negative")
         if abs(abs(self.eta) ** 2 + self.zeta**2 - 1.0) > ATOL:

@@ -2,13 +2,14 @@
 
 Two independent execution paths are provided on purpose.  The analytic path
 iterates the closed-form fidelity/probability recurrences; the exact path
-builds the 16x16 joint density matrix of two pairs, applies the bilateral
-CNOT, projects the target qubits, and post-selects.  Tests hold the two
-paths against each other at every round.
+carries the pair's 4x4 density matrix through each bilateral-CNOT round and
+post-selects on the target-pair outcomes.  Tests hold the two paths against
+each other at every round.
 
-Qubit ordering for the joint state is (A1, A2, B1, B2): Alice holds the
-first two qubits, Bob the last two; the first qubit of each side is the
-source (kept) pair and the second the target (measured) pair.
+Pair states are indexed |ab> = 2a+b, Alice's qubit first.  In a round the
+first copy is the source (kept) pair and the second the target (measured)
+pair; both CNOTs write a2 ^ a1 and b2 ^ b1 onto the target, so outcome (j, k)
+pins the target index to the source index flipped by X^j (x) X^k.
 """
 
 from __future__ import annotations
@@ -24,40 +25,8 @@ from .errors import DegenerateProtocolError, EntanglementDestroyedError, NonDist
 from .linalg import HADAMARD, ID2, PHI_PLUS, dagger, pure_fidelity
 from .state import CanonicalStateParams, canonical_decompose, params_analytic, shared_state
 
-CNOT = np.array(
-    [
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 1],
-        [0, 0, 1, 0],
-    ],
-    dtype=complex,
-)
-
-# CNOT on Alice's (source, target) qubits and on Bob's, in one 16x16 operator.
-BILATERAL_CNOT = np.kron(CNOT, CNOT)
-
-
-def _pair_interleave() -> np.ndarray:
-    """Permutation taking |a1 b1 a2 b2> (two stacked pairs) to |a1 a2 b1 b2>."""
-    perm = np.zeros((16, 16))
-    for a1, b1, a2, b2 in product((0, 1), repeat=4):
-        src = 8 * a1 + 4 * b1 + 2 * a2 + b2
-        dst = 8 * a1 + 4 * a2 + 2 * b1 + b2
-        perm[dst, src] = 1.0
-    return perm
-
-
-PAIR_INTERLEAVE = _pair_interleave()
-
-# Target-qubit measurement: 4x16 maps |a1 a2 b1 b2> -> delta(a2=j) delta(b2=k) |a1 b1>.
-_BRANCH_PROJ = {
-    (j, k): np.kron(
-        np.kron(ID2, np.eye(1, 2, j, dtype=complex)),
-        np.kron(ID2, np.eye(1, 2, k, dtype=complex)),
-    )
-    for j, k in product((0, 1), repeat=2)
-}
+# Target-pair index i ^ (2j + k) paired with source index i under outcome (j, k).
+_FLIPS = {(j, k): np.arange(4) ^ (2 * j + k) for j, k in product((0, 1), repeat=2)}
 
 
 class Policy(Enum):
@@ -170,10 +139,9 @@ def rssp_analytic(
 # Exact two-pair round
 
 
-def joint_state(pair_state: np.ndarray) -> np.ndarray:
-    """Two copies of a pair state in (A1, A2, B1, B2) qubit order."""
-    doubled = np.kron(pair_state, pair_state)
-    return PAIR_INTERLEAVE @ doubled @ PAIR_INTERLEAVE.T
+def _branch_block(rho: np.ndarray, flip: np.ndarray) -> np.ndarray:
+    """Unnormalized kept-pair block of one outcome: rho[i, i'] rho[i ^ m, i' ^ m]."""
+    return rho * rho[np.ix_(flip, flip)]
 
 
 def round_branches(pair_state: np.ndarray) -> dict[tuple[int, int], tuple[float, np.ndarray | None]]:
@@ -183,11 +151,10 @@ def round_branches(pair_state: np.ndarray) -> dict[tuple[int, int], tuple[float,
     j, k are the target-qubit outcomes on Alice's and Bob's side; the state
     is None for branches with vanishing probability.  Probabilities sum to 1.
     """
-    rho_j = joint_state(np.asarray(pair_state, dtype=complex))
-    rho_j = BILATERAL_CNOT @ rho_j @ dagger(BILATERAL_CNOT)
+    rho = np.asarray(pair_state, dtype=complex)
     out = {}
-    for key, proj in _BRANCH_PROJ.items():
-        block = proj @ rho_j @ dagger(proj)
+    for key, flip in _FLIPS.items():
+        block = _branch_block(rho, flip)
         prob = float(np.real(np.trace(block)))
         out[key] = (prob, block / prob if prob > 1e-15 else None)
     return out
@@ -202,13 +169,13 @@ def round_exact(pair_state: np.ndarray, policy: Policy) -> tuple[float, np.ndarr
     """
     if policy not in (Policy.FP, Policy.PP, Policy.QPA):
         raise ValueError(f"no operator-level round for policy {policy}")
-    branches = round_branches(pair_state)
+    rho = np.asarray(pair_state, dtype=complex)
     keys = [(1, 1)] if policy is Policy.FP else [(0, 0), (1, 1)]
-    prob = sum(branches[k][0] for k in keys)
+    kept = sum(_branch_block(rho, _FLIPS[k]) for k in keys)
+    prob = float(np.real(np.trace(kept)))
     if prob <= 1e-15:
         raise DegenerateProtocolError("kept measurement branches have no population")
-    mixed = sum(branches[k][0] * branches[k][1] for k in keys if branches[k][1] is not None)
-    return prob / 2.0, mixed / prob
+    return prob / 2.0, kept / prob
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Dense complex linear algebra helpers for few-qubit density matrices.
 
-Everything here is a pure function on small (2x2 .. 16x16) numpy arrays.
+Everything here is a pure function on small (2x2 .. 4x4) numpy arrays.
 Decompositions wrap LAPACK but pin the ordering and phase gauge so that
 repeated runs produce identical matrices.
 """

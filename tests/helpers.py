@@ -1,7 +1,9 @@
-"""Shared helpers for the test suite: parameter grids, random channels and the
-round-1 closed-form oracle."""
+"""Shared helpers for the test suite: parameter grids, random channels, the
+round-1 closed-form oracle and the 16x16 two-pair oracle for the exact round."""
 
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 
@@ -89,3 +91,54 @@ def first_round_closed_form(
         f1 = f0**2 / (f0**2 + 0.25 * (1.0 - f0) ** 2 * (gamma**2 / beta**2 + delta**2 / alpha**2) ** 2)
         return p1, f1
     raise ValueError(f"no closed-form first round for policy {policy}")
+
+
+# ---------------------------------------------------------------------------
+# 16x16 two-pair oracle for one bilateral-CNOT round
+#
+# Written independently of the library's entrywise engine: two copies of the
+# pair are stacked, reordered to (A1, A2, B1, B2), hit by CNOT (x) CNOT and
+# projected onto each target outcome.
+
+CNOT = np.array(
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+)
+BILATERAL_CNOT = np.kron(CNOT, CNOT)
+
+
+def _pair_interleave() -> np.ndarray:
+    """Permutation taking |a1 b1 a2 b2> (two stacked pairs) to |a1 a2 b1 b2>."""
+    perm = np.zeros((16, 16))
+    for a1, b1, a2, b2 in product((0, 1), repeat=4):
+        perm[8 * a1 + 4 * a2 + 2 * b1 + b2, 8 * a1 + 4 * b1 + 2 * a2 + b2] = 1.0
+    return perm
+
+
+PAIR_INTERLEAVE = _pair_interleave()
+
+# Outcomes kept by the fully- and probability-prioritized rounds.
+FP_KEEP = ((1, 1),)
+PP_KEEP = ((0, 0), (1, 1))
+
+
+def joint_state(pair_state: np.ndarray) -> np.ndarray:
+    """Two copies of a pair state in (A1, A2, B1, B2) qubit order."""
+    return PAIR_INTERLEAVE @ np.kron(pair_state, pair_state) @ PAIR_INTERLEAVE.T
+
+
+def oracle_branch_blocks(pair_state: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+    """Unnormalized kept-pair block of each target outcome (j, k)."""
+    rho = BILATERAL_CNOT @ joint_state(np.asarray(pair_state, dtype=complex)) @ BILATERAL_CNOT.T
+    blocks = {}
+    for j, k in product((0, 1), repeat=2):
+        proj = np.kron(np.kron(ID2, np.eye(1, 2, j)), np.kron(ID2, np.eye(1, 2, k)))
+        blocks[(j, k)] = proj @ rho @ proj.T
+    return blocks
+
+
+def oracle_round(pair_state: np.ndarray, keep) -> tuple[float, np.ndarray]:
+    """Keep probability per input pair and normalized state after keeping `keep`."""
+    blocks = oracle_branch_blocks(pair_state)
+    kept = sum(blocks[key] for key in keep)
+    prob = float(np.trace(kept).real)
+    return prob / 2.0, kept / prob

@@ -46,7 +46,7 @@ def _report(label: str, ok: bool, detail: str) -> None:
 
 
 def test_closed_form_recurrences_match_exact_engine():
-    """Filter and round formulas agree with the 16x16 operator engine on the grid."""
+    """Filter and round formulas agree with the exact operator engine on the grid."""
     worst = 0.0
     for p, abs_eta in GRID:
         f, a, b, g, d = params_analytic(p, abs_eta)

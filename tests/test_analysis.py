@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import GRID, first_round_closed_form, plain_params
+from helpers import GRID, PAIR_INTERLEAVE, first_round_closed_form, plain_params
 from tko_distill import (
     DistillationTrace,
     Policy,
@@ -26,7 +26,7 @@ from tko_distill import (
     sweep_to_csv,
     sweep_to_json,
 )
-from tko_distill.analysis import analytic_state_params
+from tko_distill.analysis import _locc_template, analytic_state_params
 
 HALF = float(np.sqrt(0.5))
 
@@ -95,6 +95,22 @@ def test_random_locc_never_beats_the_bound_small():
         assert best <= optimal_fidelity_channel(p, abs_eta) + 1e-9
         # Fixed seeds make the scan reproducible.
         assert best == random_locc_check(prm, samples=3000, seed=seed, chunk=1000)
+
+
+def test_locc_template_matches_pair_interleave():
+    for p, abs_eta in GRID[::3]:
+        prm = analytic_state_params(p, abs_eta)
+        mu, nu, f = prm.mu(), prm.nu(), prm.fidelity
+        components = (
+            (f * f, mu, mu),
+            (f * (1.0 - f), mu, nu),
+            ((1.0 - f) * f, nu, mu),
+            ((1.0 - f) ** 2, nu, nu),
+        )
+        oracle = np.array(
+            [np.sqrt(w) * (PAIR_INTERLEAVE @ np.kron(x, y)).reshape(4, 4) for w, x, y in components]
+        )
+        assert np.max(np.abs(_locc_template(prm) - oracle)) < 1e-15
 
 
 def test_locc_fidelity_validates_shapes():

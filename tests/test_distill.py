@@ -1,10 +1,25 @@
 """Unit tests for the distillation engines (closed-form and operator-level)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from helpers import GRID, ID2, first_round_closed_form, plain_params, random_channel
+from helpers import (
+    FP_KEEP,
+    GRID,
+    ID2,
+    PAIR_INTERLEAVE,
+    PP_KEEP,
+    first_round_closed_form,
+    joint_state,
+    oracle_branch_blocks,
+    oracle_round,
+    plain_params,
+    random_channel,
+)
 from tko_distill import (
+    CanonicalChannelParams,
     CanonicalStateParams,
     EntanglementDestroyedError,
     NonDistillableError,
@@ -26,7 +41,6 @@ from tko_distill import (
     rssp_ops,
     run,
 )
-from tko_distill.distill import PAIR_INTERLEAVE, joint_state
 from tko_distill.linalg import PHI_PLUS, PSI_PLUS, dagger, projector, pure_fidelity
 
 HALF = float(np.sqrt(0.5))
@@ -35,6 +49,13 @@ HALF = float(np.sqrt(0.5))
 def _state_params(p: float, abs_eta: float, theta: float = 0.0) -> CanonicalStateParams:
     f, a, b, g, d = params_analytic(p, abs_eta)
     return CanonicalStateParams(f, a, b, g, d, theta)
+
+
+def _random_density(rng: np.random.Generator) -> np.ndarray:
+    """Full-rank 4x4 density matrix from a complex Ginibre draw."""
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    rho = g @ dagger(g)
+    return rho / np.trace(rho).real
 
 
 def test_pair_interleave_is_a_permutation():
@@ -109,6 +130,29 @@ def test_round_branch_probabilities_sum_to_one():
         branches = round_branches(prm.density())
         total = sum(prob for prob, _ in branches.values())
         assert abs(total - 1.0) < 1e-12
+
+
+def test_round_branches_match_16x16_oracle():
+    rng = np.random.default_rng(67)
+    for _ in range(50):
+        rho = _random_density(rng)
+        branches = round_branches(rho)
+        for key, block in oracle_branch_blocks(rho).items():
+            prob, state = branches[key]
+            oracle_prob = np.trace(block).real
+            assert abs(prob - oracle_prob) < 1e-12
+            assert np.max(np.abs(state - block / oracle_prob)) < 1e-12
+
+
+def test_round_exact_matches_16x16_oracle():
+    rng = np.random.default_rng(71)
+    for _ in range(50):
+        rho = _random_density(rng)
+        for policy, keep in ((Policy.FP, FP_KEEP), (Policy.PP, PP_KEEP)):
+            prob, state = round_exact(rho, policy)
+            oracle_prob, oracle_state = oracle_round(rho, keep)
+            assert abs(prob - oracle_prob) < 1e-12
+            assert np.max(np.abs(state - oracle_state)) < 1e-12
 
 
 def test_round_exact_fixed_point():
@@ -296,6 +340,23 @@ def test_run_at_the_edge_of_the_domain():
     traces = {pol: run(near_phase, pol) for pol in (Policy.FP, Policy.PP, Policy.BBPSSW)}
     f1 = traces[Policy.FP].records[1].fidelity
     assert abs(f1 - optimal_fidelity_channel(p, 1e-5)) < 1e-12
+
+
+def test_run_clamps_p_within_tolerance_of_the_domain():
+    # p within the validator's 1e-9 tolerance outside [0, 1] runs as the edge itself.
+    policies = (Policy.FP, Policy.PP, Policy.QPA, Policy.BBPSSW)
+    for abs_eta in (0.0, 0.5, 1.0):
+        zeta = float(np.sqrt(1.0 - abs_eta**2))
+        below = CanonicalChannelParams(p=-5e-10, eta=abs_eta, zeta=zeta)
+        for policy in policies:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                trace = run(below, policy)
+            assert trace == run(plain_params(0.0, abs_eta), policy)
+        above = CanonicalChannelParams(p=1.0 + 5e-10, eta=abs_eta, zeta=zeta)
+        for policy in policies:
+            with pytest.raises(EntanglementDestroyedError):
+                run(above, policy)
 
 
 def test_run_engines_agree_on_dressed_channels():
