@@ -47,7 +47,6 @@ from .distill import (
     bbpssw_trace,
     recurrence_analytic,
     recurrence_step,
-    round_branches,
     round_exact,
     rssp_analytic,
     rssp_apply,
@@ -66,8 +65,6 @@ from .state import (
     canonical_decompose,
     params_analytic,
     shared_state,
-    steering_operators,
-    steering_source_fidelity,
     verify_canonical,
 )
 
@@ -110,7 +107,6 @@ __all__ = [
     "recurrence_analytic",
     "recurrence_step",
     "remix",
-    "round_branches",
     "round_exact",
     "rssp_analytic",
     "rssp_apply",
@@ -118,8 +114,6 @@ __all__ = [
     "run",
     "run_point",
     "shared_state",
-    "steering_operators",
-    "steering_source_fidelity",
     "sweep_eta",
     "sweep_p",
     "sweep_to_csv",

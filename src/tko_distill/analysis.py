@@ -20,7 +20,7 @@ from .channel import CanonicalChannelParams
 from .distill import DistillationTrace, Policy, rssp_ops, run
 from .errors import DomainError
 from .linalg import ID2, kron
-from .state import CanonicalStateParams, params_analytic
+from .state import CanonicalStateParams
 
 CNOT = np.array(
     [
@@ -163,11 +163,12 @@ def _spectral_norms(batch: np.ndarray) -> np.ndarray:
     return np.sqrt(eigs[:, -1])
 
 
+# Operator pairs drawn per batch; the batch arrays set the search's peak memory.
+_LOCC_CHUNK = 20_000
+
+
 def random_locc_check(
-    params: CanonicalStateParams,
-    samples: int = 100_000,
-    seed: int = 0,
-    chunk: int = 20_000,
+    params: CanonicalStateParams, samples: int = 100_000, seed: int = 0
 ) -> float:
     """Best kept-pair fidelity over random single-round filtering operations.
 
@@ -184,7 +185,7 @@ def random_locc_check(
     best = 0.0
     remaining = samples
     while remaining > 0:
-        batch = min(chunk, remaining)
+        batch = min(_LOCC_CHUNK, remaining)
         remaining -= batch
         n_a = rng.standard_normal((batch, 4, 4)) + 1j * rng.standard_normal(
             (batch, 4, 4)
@@ -295,7 +296,6 @@ class SweepPoint:
     fidelity_final: float | None
     report: YieldReport | None
     error: str | None
-    seed: int
 
 
 SWEEP_COLUMNS = (
@@ -306,7 +306,6 @@ SWEEP_COLUMNS = (
     "reached",
     "fidelity_final",
     "yield_avg",
-    "seed",
 )
 
 
@@ -322,16 +321,10 @@ def run_point(
     policy: Policy,
     f_th: float = 0.99,
     max_rounds: int = 64,
-    seed: int = 0,
 ) -> SweepPoint:
     """Run one policy on one channel, folding failures into the result."""
     try:
-        trace = run(
-            _channel_for(p, abs_eta),
-            policy,
-            f_th=f_th,
-            max_rounds=max_rounds,
-        )
+        trace = run(_channel_for(p, abs_eta), policy, f_th=f_th, max_rounds=max_rounds)
     except DomainError as exc:
         return SweepPoint(
             p=p,
@@ -342,7 +335,6 @@ def run_point(
             fidelity_final=None,
             report=None,
             error=str(exc),
-            seed=seed,
         )
     report = average_yield(trace) if trace.reached else None
     return SweepPoint(
@@ -354,7 +346,6 @@ def run_point(
         fidelity_final=trace.final_fidelity,
         report=report,
         error=None,
-        seed=seed,
     )
 
 
@@ -367,11 +358,10 @@ def sweep_p(
     f_th: float = 0.99,
     policies: Sequence[Policy] = _ALL_POLICIES,
     max_rounds: int = 64,
-    seed: int = 0,
 ) -> list[SweepPoint]:
     """Sweep the noise severity at fixed channel type ``|eta|``."""
     return [
-        run_point(p, abs_eta, pol, f_th=f_th, max_rounds=max_rounds, seed=seed)
+        run_point(p, abs_eta, pol, f_th=f_th, max_rounds=max_rounds)
         for p in p_values
         for pol in policies
     ]
@@ -383,11 +373,10 @@ def sweep_eta(
     f_th: float = 0.99,
     policies: Sequence[Policy] = _ALL_POLICIES,
     max_rounds: int = 64,
-    seed: int = 0,
 ) -> list[SweepPoint]:
     """Sweep the channel type ``|eta|`` at fixed noise severity ``p``."""
     return [
-        run_point(p, abs_eta, pol, f_th=f_th, max_rounds=max_rounds, seed=seed)
+        run_point(p, abs_eta, pol, f_th=f_th, max_rounds=max_rounds)
         for abs_eta in eta_values
         for pol in policies
     ]
@@ -413,7 +402,6 @@ def sweep_row(point: SweepPoint) -> dict[str, object]:
         "reached": point.reached,
         "fidelity_final": point.fidelity_final,
         "yield_avg": yield_avg,
-        "seed": point.seed,
     }
 
 
@@ -432,15 +420,3 @@ def sweep_to_json(points: Sequence[SweepPoint], stream: TextIO) -> None:
     json.dump(rows, stream, indent=2)
     stream.write("\n")
 
-
-def analytic_state_params(p: float, abs_eta: float) -> CanonicalStateParams:
-    """Canonical state parameters for the channel ``(p, |eta|)``, closed form."""
-    fidelity, alpha, beta, gamma, delta = params_analytic(p, abs_eta)
-    return CanonicalStateParams(
-        fidelity=fidelity,
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        delta=delta,
-        theta=0.0,
-    )

@@ -138,7 +138,7 @@ def choi(kp: KrausPair) -> np.ndarray:
 def apply_to_second_qubit(rho0: np.ndarray, kp: KrausPair) -> np.ndarray:
     """Send the second qubit of a two-qubit state through the channel."""
     rho0 = np.asarray(rho0, dtype=complex)
-    check_density_matrix(rho0, n_qubits=2)
+    check_density_matrix(rho0)
     out = np.zeros((4, 4), dtype=complex)
     for c in (kp.c1, kp.c2):
         op = np.kron(ID2, c)

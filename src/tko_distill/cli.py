@@ -290,7 +290,6 @@ def _cmd_sweep_p(args) -> int:
         f_th=args.f_th,
         policies=_parse_policies(args.policies),
         max_rounds=args.max_rounds,
-        seed=args.seed,
     )
     _write_sweep(points, args.format)
     return 0
@@ -312,7 +311,6 @@ def _cmd_sweep_eta(args) -> int:
         f_th=args.f_th,
         policies=_parse_policies(args.policies),
         max_rounds=args.max_rounds,
-        seed=args.seed,
     )
     _write_sweep(points, args.format)
     return 0
@@ -347,37 +345,25 @@ def _figure_two_rows() -> tuple[list[str], list[list]]:
     return header, rows
 
 
+# Figures 3 and 4 are sweeps with fixed arguments.
+_FIGURE_SWEEPS = {
+    3: ["sweep-p", "--eta", "1.0", "--policies", "fp,pp,bbpssw"],
+    4: ["sweep-eta", "--p", "0.7"],
+}
+
+
 def _cmd_figure(args) -> int:
-    if args.id == 2:
-        header, rows = _figure_two_rows()
-        if args.format == "csv":
-            writer = csv.writer(sys.stdout, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_cell(v) for v in row])
-        else:
-            _print_json([dict(zip(header, row)) for row in rows], sys.stdout)
-        return 0
-    if args.id == 3:
-        points = sweep_p(
-            1.0,
-            [float(v) for v in np.linspace(0.0, 0.99, 100)],
-            f_th=0.99,
-            policies=(Policy.FP, Policy.PP, Policy.BBPSSW),
-            max_rounds=64,
-            seed=args.seed,
-        )
-    else:  # id == 4
-        angles = np.linspace(0.0, math.pi / 2.0, 100)
-        points = sweep_eta(
-            0.7,
-            [float(v) for v in np.sin(angles)],
-            f_th=0.99,
-            policies=(Policy.FP, Policy.PP, Policy.QPA, Policy.BBPSSW),
-            max_rounds=64,
-            seed=args.seed,
-        )
-    _write_sweep(points, args.format)
+    if args.id in _FIGURE_SWEEPS:
+        sweep = _build_parser().parse_args([*_FIGURE_SWEEPS[args.id], "--format", args.format])
+        return sweep.func(sweep)
+    header, rows = _figure_two_rows()
+    if args.format == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_cell(v) for v in row])
+    else:
+        _print_json([dict(zip(header, row)) for row in rows], sys.stdout)
     return 0
 
 
@@ -444,7 +430,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("figure", help="reference data presets")
     sp.add_argument("--id", type=int, required=True, choices=(2, 3, 4))
-    sp.add_argument("--seed", type=int, default=0)
     _add_format_arg(sp, "csv")
     sp.set_defaults(func=_cmd_figure)
 
@@ -459,7 +444,6 @@ def _add_sweep_common(sp: argparse.ArgumentParser) -> None:
     )
     sp.add_argument("--f-th", type=float, default=0.99)
     sp.add_argument("--max-rounds", type=int, default=64)
-    sp.add_argument("--seed", type=int, default=0)
     _add_format_arg(sp, "csv")
 
 

@@ -144,22 +144,6 @@ def _branch_block(rho: np.ndarray, flip: np.ndarray) -> np.ndarray:
     return rho * rho[np.ix_(flip, flip)]
 
 
-def round_branches(pair_state: np.ndarray) -> dict[tuple[int, int], tuple[float, np.ndarray | None]]:
-    """All four measurement branches of one bilateral-CNOT round.
-
-    Returns {(j, k): (branch probability, normalized kept-pair state)} where
-    j, k are the target-qubit outcomes on Alice's and Bob's side; the state
-    is None for branches with vanishing probability.  Probabilities sum to 1.
-    """
-    rho = np.asarray(pair_state, dtype=complex)
-    out = {}
-    for key, flip in _FLIPS.items():
-        block = _branch_block(rho, flip)
-        prob = float(np.real(np.trace(block)))
-        out[key] = (prob, block / prob if prob > 1e-15 else None)
-    return out
-
-
 def round_exact(pair_state: np.ndarray, policy: Policy) -> tuple[float, np.ndarray]:
     """One exact distillation round consuming two copies of pair_state.
 
@@ -219,6 +203,33 @@ def bbpssw_initial_fidelity(f: float, alpha: float, beta: float) -> float:
     return f * (alpha + beta) ** 2 / 2.0
 
 
+# ---------------------------------------------------------------------------
+# The round loop
+
+
+def _iterate(
+    policy: Policy, engine: str, f0: float, keep0: float, step, f_th: float, max_rounds: int
+) -> DistillationTrace:
+    """Run rounds from the prepared state until a stop rule fires.
+
+    ``step(k, f)`` performs round k on a pair of fidelity f and returns
+    (next fidelity, keep probability per input pair).  The loop stops at the
+    threshold, at the round budget, or, for QPA, at a fixed point below the
+    threshold, where further rounds cannot change anything.
+    """
+    records = [RoundRecord(0, f0, keep0, keep0)]
+    f, cumulative, k = f0, keep0, 0
+    while f < f_th and k < max_rounds:
+        k += 1
+        f_prev = f
+        f, keep = step(k, f)
+        cumulative *= keep
+        records.append(RoundRecord(k, f, keep, cumulative))
+        if policy is Policy.QPA and abs(f - f_prev) < 1e-12:
+            break
+    return DistillationTrace(policy, f_th, f >= f_th, tuple(records), engine)
+
+
 def recurrence_analytic(
     f0: float,
     alpha: float,
@@ -236,20 +247,14 @@ def recurrence_analytic(
     if f0 <= 0.5:
         raise NonDistillableError(f"fidelity weight {f0} at or below 1/2 cannot be distilled")
     p_s, f_t, g_t, d_t = rssp_analytic(f0, alpha, beta, gamma, delta)
-    records = [RoundRecord(0, f_t, p_s, p_s)]
-    f = f_t
-    cumulative = p_s
-    k = 0
-    while f < f_th and k < max_rounds:
-        k += 1
-        if k == 1:
-            p_branch, f = first_round_rates(f_t, g_t, d_t, policy)
-            keep = p_branch / 2.0
-        else:
-            f, keep = recurrence_step(f)
-        cumulative *= keep
-        records.append(RoundRecord(k, f, keep, cumulative))
-    return DistillationTrace(policy, f_th, f >= f_th, tuple(records), engine="analytic")
+
+    def step(k: int, f: float) -> tuple[float, float]:
+        if k > 1:
+            return recurrence_step(f)
+        p_branch, f1 = first_round_rates(f_t, g_t, d_t, policy)
+        return f1, p_branch / 2.0
+
+    return _iterate(policy, "analytic", f_t, p_s, step, f_th, max_rounds)
 
 
 def bbpssw_trace(f_init: float, f_th: float = 0.99, max_rounds: int = 64) -> DistillationTrace:
@@ -258,47 +263,38 @@ def bbpssw_trace(f_init: float, f_th: float = 0.99, max_rounds: int = 64) -> Dis
         raise NonDistillableError(
             f"Werner fidelity {f_init:.6f} at or below 1/2 cannot be distilled"
         )
-    records = [RoundRecord(0, f_init, 1.0, 1.0)]
-    f = f_init
-    cumulative = 1.0
-    k = 0
-    while f < f_th and k < max_rounds:
-        k += 1
-        f, p_succ = bbpssw_step(f)
-        cumulative *= p_succ / 2.0
-        records.append(RoundRecord(k, f, p_succ / 2.0, cumulative))
-    return DistillationTrace(Policy.BBPSSW, f_th, f >= f_th, tuple(records), engine="analytic")
+
+    def step(k: int, f: float) -> tuple[float, float]:
+        f_next, p_succ = bbpssw_step(f)
+        return f_next, p_succ / 2.0
+
+    return _iterate(Policy.BBPSSW, "analytic", f_init, 1.0, step, f_th, max_rounds)
+
+
+def _exact_step(state: np.ndarray, policy: Policy):
+    """Round step on the 4x4 state: the policy's own rule in round 1, PP's after."""
+
+    def step(k: int, f: float) -> tuple[float, float]:
+        nonlocal state
+        keep, state = round_exact(state, policy if k == 1 else Policy.PP)
+        return pure_fidelity(state, PHI_PLUS), keep
+
+    return step
 
 
 # ---------------------------------------------------------------------------
 # Full pipeline
 
-
-def _exact_trace(
-    state: np.ndarray,
-    policy: Policy,
-    f_th: float,
-    max_rounds: int,
-    first_keep: float,
-    plateau_detect: bool,
-) -> DistillationTrace:
-    f = pure_fidelity(state, PHI_PLUS)
-    records = [RoundRecord(0, f, first_keep, first_keep)]
-    cumulative = first_keep
-    k = 0
-    stalled = False
-    while f < f_th and k < max_rounds and not stalled:
-        k += 1
-        round_policy = policy if k == 1 else Policy.PP
-        keep, state = round_exact(state, round_policy)
-        f_new = pure_fidelity(state, PHI_PLUS)
-        cumulative *= keep
-        records.append(RoundRecord(k, f_new, keep, cumulative))
-        if plateau_detect and f_new < f_th and abs(f_new - f) < 1e-12:
-            # Fixed point below threshold; further rounds cannot change anything.
-            stalled = True
-        f = f_new
-    return DistillationTrace(policy, f_th, f >= f_th, tuple(records), engine="exact")
+# Engines each policy runs on, its default first.  QPA has no closed-form
+# recurrence that preserves its state structure, and BBPSSW's Werner twirl
+# has no operator-level round.
+_ENGINES = {
+    Policy.FP: ("analytic", "exact"),
+    Policy.PP: ("analytic", "exact"),
+    Policy.QPA: ("exact",),
+    Policy.BBPSSW: ("analytic",),
+}
+_ENGINE_NOUN = {"analytic": "analytic recurrence", "exact": "exact round"}
 
 
 def run(
@@ -321,9 +317,9 @@ def run(
     max_rounds : int
         Round budget; hitting it marks the trace as not reached.
     engine : {"analytic", "exact", None}
-        FP/PP honor both engines (None defaults to analytic).  QPA always
-        runs the exact engine (no closed-form recurrence preserves its
-        state structure) and BBPSSW always runs its scalar recursion.
+        FP/PP run on either engine (None picks analytic).  QPA runs only on
+        the exact engine and BBPSSW only on its analytic recursion; asking
+        for the other engine raises ValueError.
     """
     policy = Policy(policy)
     if not 0.5 < f_th <= 1.0:
@@ -334,26 +330,29 @@ def run(
         raise EntanglementDestroyedError("p >= 1 leaves no entanglement to distill")
     if engine not in (None, "analytic", "exact"):
         raise ValueError(f"unknown engine {engine!r}")
-
-    if policy is Policy.QPA:
-        if engine == "analytic":
-            raise ValueError("QPA has no analytic recurrence; use the exact engine")
-        rho = shared_state(kraus_from_params(channel))
-        prep = np.kron(HADAMARD, HADAMARD)
-        return _exact_trace(
-            prep @ rho @ dagger(prep), policy, f_th, max_rounds, 1.0, plateau_detect=True
+    allowed = _ENGINES[policy]
+    if engine is None:
+        engine = allowed[0]
+    elif engine not in allowed:
+        raise ValueError(
+            f"{policy.name} has no {_ENGINE_NOUN[engine]}; use the {allowed[0]} engine"
         )
 
-    if engine == "exact" and policy is not Policy.BBPSSW:
-        rho = shared_state(kraus_from_params(channel))
+    if engine == "analytic":
+        # u, v and the phase of eta act locally, so the closed forms in
+        # (p, |eta|) carry everything the analytic recurrences need.
+        f0, alpha, beta, gamma, delta = params_analytic(channel.p, channel.abs_eta)
+        if policy is Policy.BBPSSW:
+            return bbpssw_trace(bbpssw_initial_fidelity(f0, alpha, beta), f_th, max_rounds)
+        return recurrence_analytic(f0, alpha, beta, gamma, delta, policy, f_th, max_rounds)
+
+    rho = shared_state(kraus_from_params(channel))
+    if policy is Policy.QPA:
+        prep = np.kron(HADAMARD, HADAMARD)
+        keep0, state = 1.0, prep @ rho @ dagger(prep)
+    else:
         params = canonical_decompose(rho)
         rot = np.kron(params.u_a, params.u_b)
-        p_s, filtered = rssp_apply(rot @ rho @ dagger(rot), params)
-        return _exact_trace(filtered, policy, f_th, max_rounds, p_s, plateau_detect=False)
-
-    # u, v and the phase of eta act locally, so the closed forms in (p, |eta|)
-    # carry everything the analytic recurrences need.
-    f0, alpha, beta, gamma, delta = params_analytic(channel.p, channel.abs_eta)
-    if policy is Policy.BBPSSW:
-        return bbpssw_trace(bbpssw_initial_fidelity(f0, alpha, beta), f_th, max_rounds)
-    return recurrence_analytic(f0, alpha, beta, gamma, delta, policy, f_th, max_rounds)
+        keep0, state = rssp_apply(rot @ rho @ dagger(rot), params)
+    f0 = pure_fidelity(state, PHI_PLUS)
+    return _iterate(policy, "exact", f0, keep0, _exact_step(state, policy), f_th, max_rounds)

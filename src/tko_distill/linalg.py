@@ -11,16 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Tolerances: structural checks (hermiticity, orthonormality, normalization)
-# versus reconstruction identities, which sit at machine precision.
+# Tolerance of the structural checks: hermiticity, unitarity, normalization.
 ATOL = 1e-9
-RECON_ATOL = 1e-12
 
 ID2 = np.eye(2, dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-# Bell vectors in the |ab> = 2a+b basis ordering.
+# |Phi+> in the |ab> = 2a+b basis ordering.
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
-PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -45,51 +42,29 @@ def pure_fidelity(rho: np.ndarray, ket: np.ndarray) -> float:
     return float(np.real(ket.conj() @ rho @ ket))
 
 
-def is_hermitian(m: np.ndarray, atol: float = ATOL) -> bool:
-    return bool(np.max(np.abs(m - dagger(m))) <= atol)
+def is_hermitian(m: np.ndarray) -> bool:
+    return bool(np.max(np.abs(m - dagger(m))) <= ATOL)
 
 
-def is_unitary(m: np.ndarray, atol: float = ATOL) -> bool:
+def is_unitary(m: np.ndarray) -> bool:
     m = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(dagger(m) @ m - np.eye(m.shape[1]))) <= atol)
+    return bool(np.max(np.abs(dagger(m) @ m - np.eye(m.shape[1]))) <= ATOL)
 
 
-def check_density_matrix(rho: np.ndarray, n_qubits: int = 2, atol: float = ATOL) -> None:
-    """Raise ValueError unless rho is a trace-1 PSD matrix on n_qubits."""
+def check_density_matrix(rho: np.ndarray) -> None:
+    """Raise ValueError unless rho is a trace-1 PSD two-qubit matrix."""
     rho = np.asarray(rho, dtype=complex)
-    dim = 2**n_qubits
-    if rho.shape != (dim, dim):
-        raise ValueError(f"density matrix must be {dim}x{dim}, got {rho.shape}")
+    if rho.shape != (4, 4):
+        raise ValueError(f"density matrix must be 4x4, got {rho.shape}")
     if not np.all(np.isfinite(rho)):
         raise ValueError("density matrix has non-finite entries")
-    if not is_hermitian(rho, atol):
+    if not is_hermitian(rho):
         raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > atol or abs(np.trace(rho).imag) > atol:
+    if abs(np.trace(rho).real - 1.0) > ATOL or abs(np.trace(rho).imag) > ATOL:
         raise ValueError("density matrix trace differs from 1")
     evals = np.linalg.eigvalsh((rho + dagger(rho)) / 2.0)
-    if evals[0] < -atol:
+    if evals[0] < -ATOL:
         raise ValueError(f"density matrix has negative eigenvalue {evals[0]:.3e}")
-
-
-def partial_trace(rho: np.ndarray, n_qubits: int, traced) -> np.ndarray:
-    """Trace out the given qubits of an n-qubit density matrix.
-
-    Qubit positions in `traced` are 1-based (position 1 is the leftmost
-    tensor factor), matching the usual tr_{2,4}-style subscripts.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    dim = 2**n_qubits
-    if rho.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix for {n_qubits} qubits, got {rho.shape}")
-    positions = sorted(set(int(q) for q in traced))
-    if positions and (positions[0] < 1 or positions[-1] > n_qubits):
-        raise ValueError(f"traced positions {positions} outside 1..{n_qubits}")
-    t = rho.reshape((2,) * (2 * n_qubits))
-    remaining = n_qubits
-    for q in reversed(positions):
-        t = np.trace(t, axis1=q - 1, axis2=q - 1 + remaining)
-        remaining -= 1
-    return t.reshape((2**remaining, 2**remaining))
 
 
 def _fix_phase(vec: np.ndarray) -> tuple[np.ndarray, complex]:
@@ -167,19 +142,13 @@ class SchmidtForm:
     basis_a: np.ndarray
     basis_b: np.ndarray
 
-    def vector(self) -> np.ndarray:
-        out = np.zeros(4, dtype=complex)
-        for i in range(self.coeffs.size):
-            out += self.coeffs[i] * np.kron(self.basis_a[:, i], self.basis_b[:, i])
-        return out
 
-
-def schmidt(state: np.ndarray, tol: float = ATOL) -> SchmidtForm:
+def schmidt(state: np.ndarray) -> SchmidtForm:
     """Schmidt form of a normalized two-qubit pure state via 2x2 SVD."""
     state = np.asarray(state, dtype=complex).reshape(-1)
     if state.shape != (4,):
         raise ValueError("expected a 4-component state vector")
-    if abs(np.linalg.norm(state) - 1.0) > tol:
+    if abs(np.linalg.norm(state) - 1.0) > ATOL:
         raise ValueError("state vector is not normalized within tolerance")
     u, s, v = svd(state.reshape(2, 2))
     return SchmidtForm(coeffs=s, basis_a=u, basis_b=v.conj())

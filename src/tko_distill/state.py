@@ -217,7 +217,7 @@ def _degenerate_rotations(psi: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray,
     return u_a, u_b
 
 
-def canonical_decompose(rho: np.ndarray, tol: float = ATOL) -> CanonicalStateParams:
+def canonical_decompose(rho: np.ndarray) -> CanonicalStateParams:
     """Recover the canonical mixture parameters of a TKO-channel state.
 
     The construction follows the rank-2 spectral decomposition: the top
@@ -232,14 +232,14 @@ def canonical_decompose(rho: np.ndarray, tol: float = ATOL) -> CanonicalStatePar
     eigenvalue is at or below 1/2.
     """
     rho = np.asarray(rho, dtype=complex)
-    check_density_matrix(rho, n_qubits=2, atol=max(tol, ATOL))
+    check_density_matrix(rho)
     evals, evecs = eig_hermitian((rho + dagger(rho)) / 2.0)
-    if evals[2] > tol:
+    if evals[2] > ATOL:
         raise ValueError(
             f"state has rank > 2 (third eigenvalue {evals[2]:.3e}); not a TKO-channel state"
         )
     f = float(evals[0])
-    if f <= 0.5 + tol:
+    if f <= 0.5 + ATOL:
         raise NonDistillableError(
             f"fidelity weight {f:.6f} is at or below 1/2; state cannot be distilled"
         )
@@ -250,7 +250,7 @@ def canonical_decompose(rho: np.ndarray, tol: float = ATOL) -> CanonicalStatePar
         # The svd tie-break may reorder coefficients equal up to rounding.
         alpha, beta = beta, alpha
 
-    if f >= 1.0 - tol:
+    if f >= 1.0 - ATOL:
         # Pure maximally entangled state; nu carries no weight, fix it by convention.
         u_a = _rotation_from_schmidt(sch.basis_a)
         u_b = _rotation_from_schmidt(sch.basis_b)
@@ -297,34 +297,3 @@ def verify_canonical(params: CanonicalStateParams, rho: np.ndarray) -> float:
     """Frobenius distance between the rotated state and its reconstruction."""
     rot = np.kron(params.u_a, params.u_b)
     return float(np.linalg.norm(rot @ np.asarray(rho, dtype=complex) @ dagger(rot) - params.density()))
-
-
-def steering_source_fidelity(target: CanonicalStateParams) -> float:
-    """Fidelity weight of the symmetric source state used for steering."""
-    f0 = target.fidelity
-    ratio = target.gamma * target.delta / (target.alpha * target.beta)
-    return f0 / (f0 + (1.0 - f0) * ratio)
-
-
-def steering_operators(
-    target: CanonicalStateParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Local measurement pairs steering a symmetric state to the target form.
-
-    Returns (m_a, m_a_bar, m_b, m_b_bar).  Applied to the two-term mixture
-    with equal Schmidt weights (the phase-damping form) at the fidelity given
-    by steering_source_fidelity, the kept branch m_a (x) m_b reproduces the
-    target-parameter state after normalization.  Each pair is a valid
-    measurement: m^dag m + m_bar^dag m_bar = I.
-    """
-    a, b, g, d = target.alpha, target.beta, target.gamma, target.delta
-    if g <= 1e-12:
-        raise ValueError("steering requires gamma > 0")
-    ra = a * g / (b * d)
-    rb = b * g / (a * d)
-    ph = np.exp(0.5j * target.theta)
-    m_a = np.diag([np.sqrt(ra), ph]).astype(complex)
-    m_a_bar = np.diag([np.sqrt(max(1.0 - ra, 0.0)), 0.0]).astype(complex)
-    m_b = np.diag([ph, np.sqrt(rb)]).astype(complex)
-    m_b_bar = np.diag([0.0, np.sqrt(max(1.0 - rb, 0.0))]).astype(complex)
-    return m_a, m_a_bar, m_b, m_b_bar

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite: parameter grids, random channels, the
-round-1 closed-form oracle and the 16x16 two-pair oracle for the exact round."""
+round-1 closed-form oracle, the 16x16 two-pair oracle for the exact round, and
+small tools that only the tests use (partial trace, Schmidt reconstruction,
+branch-by-branch rounds, steering operators)."""
 
 from __future__ import annotations
 
@@ -7,7 +9,17 @@ from itertools import product
 
 import numpy as np
 
-from tko_distill import CanonicalChannelParams, KrausPair, Policy, kraus_from_params, remix
+from tko_distill import (
+    CanonicalChannelParams,
+    CanonicalStateParams,
+    KrausPair,
+    Policy,
+    kraus_from_params,
+    params_analytic,
+    remix,
+)
+from tko_distill.distill import _FLIPS, _branch_block
+from tko_distill.linalg import SchmidtForm
 
 # (p, |eta|) grid: nine noise severities times five channel types running from
 # phase damping (|eta| = 0) to amplitude damping (|eta| = 1).
@@ -17,6 +29,7 @@ ABS_ETAS = tuple(float(np.sin(np.pi * x)) for x in ETA_FRACTIONS)
 GRID = tuple((p, e) for p in P_VALUES for e in ABS_ETAS)
 
 ID2 = np.eye(2, dtype=complex)
+PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
 
 def haar_unitary(rng: np.random.Generator, n: int = 2) -> np.ndarray:
@@ -142,3 +155,89 @@ def oracle_round(pair_state: np.ndarray, keep) -> tuple[float, np.ndarray]:
     kept = sum(blocks[key] for key in keep)
     prob = float(np.trace(kept).real)
     return prob / 2.0, kept / prob
+
+
+# ---------------------------------------------------------------------------
+# Tools only the tests use
+
+
+def partial_trace(rho: np.ndarray, n_qubits: int, traced) -> np.ndarray:
+    """Trace out the given qubits of an n-qubit density matrix.
+
+    Qubit positions in `traced` are 1-based (position 1 is the leftmost
+    tensor factor), matching the usual tr_{2,4}-style subscripts.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    dim = 2**n_qubits
+    if rho.shape != (dim, dim):
+        raise ValueError(f"expected a {dim}x{dim} matrix for {n_qubits} qubits, got {rho.shape}")
+    positions = sorted(set(int(q) for q in traced))
+    if positions and (positions[0] < 1 or positions[-1] > n_qubits):
+        raise ValueError(f"traced positions {positions} outside 1..{n_qubits}")
+    t = rho.reshape((2,) * (2 * n_qubits))
+    remaining = n_qubits
+    for q in reversed(positions):
+        t = np.trace(t, axis1=q - 1, axis2=q - 1 + remaining)
+        remaining -= 1
+    return t.reshape((2**remaining, 2**remaining))
+
+
+def schmidt_vector(form: SchmidtForm) -> np.ndarray:
+    """The two-qubit state sum_i coeffs[i] basis_a[:, i] (x) basis_b[:, i]."""
+    out = np.zeros(4, dtype=complex)
+    for i in range(form.coeffs.size):
+        out += form.coeffs[i] * np.kron(form.basis_a[:, i], form.basis_b[:, i])
+    return out
+
+
+def analytic_state_params(p: float, abs_eta: float) -> CanonicalStateParams:
+    """Canonical state parameters for the channel ``(p, |eta|)``, closed form."""
+    return CanonicalStateParams(*params_analytic(p, abs_eta), theta=0.0)
+
+
+def round_branches(pair_state: np.ndarray) -> dict[tuple[int, int], tuple[float, np.ndarray | None]]:
+    """All four measurement branches of one bilateral-CNOT round.
+
+    Returns {(j, k): (branch probability, normalized kept-pair state)} where
+    j, k are the target-qubit outcomes on Alice's and Bob's side; the state
+    is None for branches with vanishing probability.  Built on the library's
+    own branch kernel, so the oracle tests exercise it branch by branch.
+    """
+    rho = np.asarray(pair_state, dtype=complex)
+    out = {}
+    for key, flip in _FLIPS.items():
+        block = _branch_block(rho, flip)
+        prob = float(np.real(np.trace(block)))
+        out[key] = (prob, block / prob if prob > 1e-15 else None)
+    return out
+
+
+def steering_source_fidelity(target: CanonicalStateParams) -> float:
+    """Fidelity weight of the symmetric source state used for steering."""
+    f0 = target.fidelity
+    ratio = target.gamma * target.delta / (target.alpha * target.beta)
+    return f0 / (f0 + (1.0 - f0) * ratio)
+
+
+def steering_operators(
+    target: CanonicalStateParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Local measurement pairs steering a symmetric state to the target form.
+
+    Returns (m_a, m_a_bar, m_b, m_b_bar).  Applied to the two-term mixture
+    with equal Schmidt weights (the phase-damping form) at the fidelity given
+    by steering_source_fidelity, the kept branch m_a (x) m_b reproduces the
+    target-parameter state after normalization.  Each pair is a valid
+    measurement: m^dag m + m_bar^dag m_bar = I.
+    """
+    a, b, g, d = target.alpha, target.beta, target.gamma, target.delta
+    if g <= 1e-12:
+        raise ValueError("steering requires gamma > 0")
+    ra = a * g / (b * d)
+    rb = b * g / (a * d)
+    ph = np.exp(0.5j * target.theta)
+    m_a = np.diag([np.sqrt(ra), ph]).astype(complex)
+    m_a_bar = np.diag([np.sqrt(max(1.0 - ra, 0.0)), 0.0]).astype(complex)
+    m_b = np.diag([ph, np.sqrt(rb)]).astype(complex)
+    m_b_bar = np.diag([0.0, np.sqrt(max(1.0 - rb, 0.0))]).astype(complex)
+    return m_a, m_a_bar, m_b, m_b_bar

@@ -12,7 +12,14 @@ import time
 
 import numpy as np
 
-from helpers import ETA_FRACTIONS, GRID, first_round_closed_form, plain_params, random_channel
+from helpers import (
+    ETA_FRACTIONS,
+    GRID,
+    analytic_state_params,
+    first_round_closed_form,
+    plain_params,
+    random_channel,
+)
 from tko_distill import (
     Policy,
     average_yield,
@@ -35,7 +42,6 @@ from tko_distill import (
     sweep_eta,
     sweep_p,
 )
-from tko_distill.analysis import analytic_state_params
 from tko_distill.linalg import PHI_PLUS, pure_fidelity
 from tko_distill.state import CanonicalStateParams
 

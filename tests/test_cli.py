@@ -181,13 +181,21 @@ def test_distill_cross_check_requires_exact_engine(cli):
     assert rc == 1
 
 
+def test_distill_rejects_an_engine_the_policy_lacks(cli):
+    for policy, engine in (("bbpssw", "exact"), ("qpa", "analytic")):
+        rc, out, err = cli(
+            "distill", "--p", "0.7", "--eta", "0.5", "--policy", policy, "--engine", engine
+        )
+        assert rc == 1 and out == "" and "engine" in err
+
+
 def test_sweep_p_csv(cli):
     rc, out, _ = cli(
         "sweep-p", "--eta", "1.0", "--p-values", "0.2,0.5,0.8", "--policies", "fp"
     )
     assert rc == 0
     lines = out.splitlines()
-    assert lines[0] == "p,abs_eta,policy,rounds,reached,fidelity_final,yield_avg,seed"
+    assert lines[0] == "p,abs_eta,policy,rounds,reached,fidelity_final,yield_avg"
     assert len(lines) == 4
     assert [ln.split(",")[0] for ln in lines[1:]] == ["0.2", "0.5", "0.8"]
     yields = [float(ln.split(",")[6]) for ln in lines[1:]]
@@ -243,6 +251,32 @@ def test_figure_sweep_tables(cli):
     rc4, out4, _ = cli("figure", "--id", "4")
     assert rc4 == 0
     assert len(out4.splitlines()) == 1 + 100 * 4
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_figure_sweeps_are_sweep_presets(cli, fmt):
+    presets = {
+        "3": ("sweep-p", "--eta", "1.0", "--policies", "fp,pp,bbpssw"),
+        "4": ("sweep-eta", "--p", "0.7"),
+    }
+    for fig_id, argv in presets.items():
+        rc_fig, out_fig, _ = cli("figure", "--id", fig_id, "--format", fmt)
+        rc_sweep, out_sweep, _ = cli(*argv, "--format", fmt)
+        assert rc_fig == rc_sweep == 0
+        assert out_fig == out_sweep
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep-p", "--eta", "1.0", "--p-values", "0.2", "--seed", "3"),
+        ("sweep-eta", "--p", "0.7", "--eta-values", "0.5", "--seed", "3"),
+        ("figure", "--id", "3", "--seed", "3"),
+    ],
+)
+def test_sweeps_take_no_seed(cli, argv):
+    rc, out, err = cli(*argv)
+    assert rc == 1 and out == "" and "--seed" in err
 
 
 def test_figure_rejects_unknown_id(cli):

@@ -11,12 +11,14 @@ from helpers import (
     ID2,
     PAIR_INTERLEAVE,
     PP_KEEP,
+    PSI_PLUS,
     first_round_closed_form,
     joint_state,
     oracle_branch_blocks,
     oracle_round,
     plain_params,
     random_channel,
+    round_branches,
 )
 from tko_distill import (
     CanonicalChannelParams,
@@ -34,14 +36,13 @@ from tko_distill import (
     shared_state,
     recurrence_analytic,
     recurrence_step,
-    round_branches,
     round_exact,
     rssp_analytic,
     rssp_apply,
     rssp_ops,
     run,
 )
-from tko_distill.linalg import PHI_PLUS, PSI_PLUS, dagger, projector, pure_fidelity
+from tko_distill.linalg import PHI_PLUS, dagger, projector, pure_fidelity
 
 HALF = float(np.sqrt(0.5))
 
@@ -306,6 +307,9 @@ def test_run_engine_rules():
     assert run(ch, Policy.QPA).engine == "exact"
     with pytest.raises(ValueError):
         run(ch, Policy.QPA, engine="analytic")
+    assert run(ch, Policy.BBPSSW).engine == "analytic"
+    with pytest.raises(ValueError):
+        run(ch, Policy.BBPSSW, engine="exact")
     with pytest.raises(ValueError):
         run(ch, Policy.FP, engine="magic")
     with pytest.raises(ValueError):
@@ -314,6 +318,32 @@ def test_run_engine_rules():
         run(ch, Policy.FP, f_th=0.4)
     with pytest.raises(ValueError):
         run(ch, Policy.FP, max_rounds=0)
+
+
+@pytest.mark.parametrize(
+    "policy, engine",
+    [
+        (Policy.FP, "analytic"),
+        (Policy.FP, "exact"),
+        (Policy.PP, "analytic"),
+        (Policy.PP, "exact"),
+        (Policy.QPA, "exact"),
+        (Policy.BBPSSW, "analytic"),
+    ],
+)
+def test_round_budget_of_one_stops_after_one_round(policy, engine):
+    # Every prepared fidelity here lies below 0.73, and every round-1 fidelity
+    # between 0.73 and 0.99, so the two thresholds end the round both ways.
+    ch = plain_params(0.8, 0.3826834323650898)
+    outcomes = []
+    for f_th in (0.73, 0.99):
+        trace = run(ch, policy, f_th=f_th, max_rounds=1, engine=engine)
+        assert trace.engine == engine
+        assert trace.records[0].fidelity < f_th
+        assert trace.rounds == 1 and len(trace.records) == 2
+        assert trace.reached == (trace.records[1].fidelity >= f_th)
+        outcomes.append(trace.reached)
+    assert outcomes == [True, False]
 
 
 def test_run_domain_errors():

@@ -3,19 +3,17 @@
 import numpy as np
 import pytest
 
-from helpers import haar_unitary
+from helpers import PSI_PLUS, haar_unitary, partial_trace, schmidt_vector
 from tko_distill.linalg import (
     HADAMARD,
     ID2,
     PHI_PLUS,
-    PSI_PLUS,
     check_density_matrix,
     dagger,
     eig_hermitian,
     is_hermitian,
     is_unitary,
     kron,
-    partial_trace,
     projector,
     pure_fidelity,
     schmidt,
@@ -150,7 +148,7 @@ def test_eig_hermitian_rejects_non_hermitian():
 def test_schmidt_known_states():
     form = schmidt(PHI_PLUS)
     assert np.max(np.abs(form.coeffs - np.sqrt(0.5))) < 1e-12
-    assert np.max(np.abs(form.vector() - PHI_PLUS)) < 1e-12
+    assert np.max(np.abs(schmidt_vector(form) - PHI_PLUS)) < 1e-12
     product = np.kron(np.array([1.0, 0.0]), np.array([0.0, 1.0])).astype(complex)
     form = schmidt(product)
     assert abs(form.coeffs[0] - 1.0) < 1e-12 and abs(form.coeffs[1]) < 1e-12
@@ -166,7 +164,7 @@ def test_schmidt_random_states_reconstruct():
         # Schmidt form reproduces the state up to a global phase only when the
         # gauge absorbs it; the reconstruction must match exactly here because
         # the basis columns carry the phase.
-        assert np.max(np.abs(form.vector() - vec)) < 1e-12
+        assert np.max(np.abs(schmidt_vector(form) - vec)) < 1e-12
 
 
 def test_schmidt_validates_input():

@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from helpers import GRID, ID2, plain_params, random_channel
+from helpers import (
+    GRID,
+    ID2,
+    PSI_PLUS,
+    partial_trace,
+    plain_params,
+    random_channel,
+    steering_operators,
+    steering_source_fidelity,
+)
 from tko_distill import (
     CanonicalChannelParams,
     CanonicalStateParams,
@@ -16,18 +25,14 @@ from tko_distill import (
     rssp_analytic,
     rssp_apply,
     shared_state,
-    steering_operators,
-    steering_source_fidelity,
     verify_canonical,
 )
 from tko_distill.linalg import (
     HADAMARD,
     PHI_PLUS,
-    PSI_PLUS,
     dagger,
     eig_hermitian,
     kron,
-    partial_trace,
     projector,
 )
 
