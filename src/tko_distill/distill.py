@@ -313,7 +313,10 @@ def run(
     policy : Policy or str
         One of fp, pp, qpa, bbpssw.
     f_th : float
-        Target fidelity threshold in (1/2, 1].
+        Target fidelity threshold in (1/2, 1].  BBPSSW never reaches
+        ``f_th = 1``: its Werner recurrence shrinks ``1 - F`` only by about
+        2/3 per round, so F stays below 1 and the run spends its whole round
+        budget with ``reached`` False.
     max_rounds : int
         Round budget; hitting it marks the trace as not reached.
     engine : {"analytic", "exact", None}

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: parameter grids, random channels, the
-round-1 closed-form oracle, the 16x16 two-pair oracle for the exact round, and
-small tools that only the tests use (partial trace, Schmidt reconstruction,
-branch-by-branch rounds, steering operators)."""
+round-1 closed-form oracle, the 16x16 two-pair oracle for the exact round, the
+einsum oracle for the random LOCC search, and small tools that only the tests
+use (partial trace, Schmidt reconstruction, branch-by-branch rounds, steering
+operators)."""
 
 from __future__ import annotations
 
@@ -155,6 +156,63 @@ def oracle_round(pair_state: np.ndarray, keep) -> tuple[float, np.ndarray]:
     kept = sum(blocks[key] for key in keep)
     prob = float(np.trace(kept).real)
     return prob / 2.0, kept / prob
+
+
+# ---------------------------------------------------------------------------
+# Einsum oracle for the random LOCC search
+#
+# Written independently of the library's batched kernel: the two-pair source
+# comes from the interleave permutation, every contraction is a plain einsum
+# against Phi+ as a 2x2 matrix, and each random operator is rescaled to unit
+# spectral norm before use, as a measurement branch must be.
+
+PHI_MATRIX = ID2 / np.sqrt(2.0)  # Phi+ indexed [a1, b1]
+# Pairs drawn per batch; the draw order within the seeded stream depends on it.
+LOCC_CHUNK = 20_000
+
+
+def oracle_locc_template(params: CanonicalStateParams) -> np.ndarray:
+    """The two-pair source as four weighted 4x4 components [alice, bob]."""
+    mu, nu, f = params.mu(), params.nu(), params.fidelity
+    components = (
+        (f * f, mu, mu),
+        (f * (1.0 - f), mu, nu),
+        ((1.0 - f) * f, nu, mu),
+        ((1.0 - f) ** 2, nu, nu),
+    )
+    return np.array(
+        [np.sqrt(w) * (PAIR_INTERLEAVE @ np.kron(x, y)).reshape(4, 4) for w, x, y in components]
+    )
+
+
+def oracle_locc_num_den(
+    weighted: np.ndarray, n_a: np.ndarray, n_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kept-pair fidelity numerator and norm for a (b, 4, 4) stack of rounds."""
+    out = np.einsum("bij,cjk,blk->bcil", n_a, weighted, n_b)
+    den = np.einsum("bcil,bcil->b", out, out.conj()).real
+    kept = np.einsum("pr,bcpqrs->bcqs", PHI_MATRIX, out.reshape(len(out), 4, 2, 2, 2, 2))
+    num = np.einsum("bcqs,bcqs->b", kept, kept.conj()).real
+    return num, den
+
+
+def oracle_random_locc_check(
+    params: CanonicalStateParams, samples: int, seed: int
+) -> float:
+    """Best kept-pair fidelity over ``samples`` random unit-norm operator pairs."""
+    rng = np.random.default_rng(seed)
+    weighted = oracle_locc_template(params)
+    best = 0.0
+    for start in range(0, samples, LOCC_CHUNK):
+        batch = min(LOCC_CHUNK, samples - start)
+        draws = [rng.standard_normal((batch, 4, 4)) for _ in range(4)]
+        n_a = draws[0] + 1j * draws[1]
+        n_b = draws[2] + 1j * draws[3]
+        n_a /= np.linalg.norm(n_a, ord=2, axis=(1, 2))[:, None, None]
+        n_b /= np.linalg.norm(n_b, ord=2, axis=(1, 2))[:, None, None]
+        num, den = oracle_locc_num_den(weighted, n_a, n_b)
+        best = max(best, float(np.max(num / den)))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ import pytest
 
 from helpers import (
     GRID,
-    PAIR_INTERLEAVE,
     analytic_state_params,
     first_round_closed_form,
+    oracle_locc_num_den,
+    oracle_locc_template,
+    oracle_random_locc_check,
     plain_params,
 )
 from tko_distill import (
@@ -32,7 +34,7 @@ from tko_distill import (
     sweep_to_csv,
     sweep_to_json,
 )
-from tko_distill.analysis import _locc_template
+from tko_distill.analysis import _locc_num_den, _locc_template
 
 HALF = float(np.sqrt(0.5))
 
@@ -106,17 +108,48 @@ def test_random_locc_never_beats_the_bound_small():
 def test_locc_template_matches_pair_interleave():
     for p, abs_eta in GRID[::3]:
         prm = analytic_state_params(p, abs_eta)
-        mu, nu, f = prm.mu(), prm.nu(), prm.fidelity
-        components = (
-            (f * f, mu, mu),
-            (f * (1.0 - f), mu, nu),
-            ((1.0 - f) * f, nu, mu),
-            ((1.0 - f) ** 2, nu, nu),
-        )
-        oracle = np.array(
-            [np.sqrt(w) * (PAIR_INTERLEAVE @ np.kron(x, y)).reshape(4, 4) for w, x, y in components]
-        )
-        assert np.max(np.abs(_locc_template(prm) - oracle)) < 1e-15
+        assert np.max(np.abs(_locc_template(prm) - oracle_locc_template(prm))) < 1e-15
+
+
+def _random_ops(rng, n):
+    return rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
+
+
+def test_locc_kernel_matches_einsum_oracle():
+    rng = np.random.default_rng(2024)
+    for p, abs_eta in ((0.2, 0.0), (0.5, 0.6), (0.9, 1.0)):
+        prm = analytic_state_params(p, abs_eta)
+        n_a, n_b = _random_ops(rng, 500), _random_ops(rng, 500)
+        num, den = _locc_num_den(_locc_template(prm), n_a, n_b)
+        want_num, want_den = oracle_locc_num_den(oracle_locc_template(prm), n_a, n_b)
+        assert np.max(np.abs(num / den - want_num / want_den)) < 1e-14
+        # A batch of one is the locc_fidelity path.
+        for k in range(3):
+            got = locc_fidelity(prm, n_a[k], n_b[k])
+            assert abs(got - want_num[k] / want_den[k]) < 1e-14
+
+
+def test_locc_fidelity_ignores_operator_scale():
+    rng = np.random.default_rng(7)
+    for p, abs_eta in ((0.3, 0.0), (0.6, 0.5), (0.8, 1.0)):
+        prm = analytic_state_params(p, abs_eta)
+        n_a, n_b = _random_ops(rng, 1)[0], _random_ops(rng, 1)[0]
+        base = locc_fidelity(prm, n_a, n_b)
+        for c in (1e-3, 7.5, np.exp(0.3j)):
+            assert abs(locc_fidelity(prm, c * n_a, c * n_b) - base) < 1e-14
+            assert abs(locc_fidelity(prm, c * n_a, n_b) - base) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "p, abs_eta, samples, seed",
+    [(p, a, 2000, seed) for p, a in ((0.4, 0.0), (0.7, 1.0), (0.5, HALF)) for seed in (0, 1, 12345)]
+    # One full batch plus a one-sample tail batch.
+    + [(0.6, 0.38, 20_001, 5)],
+)
+def test_random_locc_check_matches_unit_norm_oracle(p, abs_eta, samples, seed):
+    prm = analytic_state_params(p, abs_eta)
+    got = random_locc_check(prm, samples=samples, seed=seed)
+    assert abs(got - oracle_random_locc_check(prm, samples, seed)) < 1e-14
 
 
 def test_locc_fidelity_validates_shapes():

@@ -257,6 +257,15 @@ def test_bbpssw_trace_structure():
         assert abs(rec.cumulative_yield - product) < 1e-12
 
 
+def test_bbpssw_spends_the_whole_budget_at_threshold_one():
+    # The Werner recurrence shrinks 1 - F by about 2/3 per round, so F never
+    # equals 1 and a threshold of exactly 1 is never reached.
+    trace = run(CanonicalChannelParams(p=0.3, eta=0, zeta=1), Policy.BBPSSW, f_th=1.0)
+    assert trace.rounds == 64
+    assert trace.reached is False
+    assert 1.0 - 1e-11 < trace.final_fidelity < 1.0
+
+
 def test_recurrence_analytic_phase_damping_first_round():
     f, a, b, g, d = params_analytic(0.8, 0.0)
     trace = recurrence_analytic(f, a, b, g, d, Policy.PP, f_th=0.99, max_rounds=16)
