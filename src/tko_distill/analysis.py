@@ -306,6 +306,8 @@ SWEEP_COLUMNS = (
 
 def _channel_for(p: float, abs_eta: float) -> CanonicalChannelParams:
     """Canonical channel (p, |eta|) with real eta and identity rotations."""
+    if not 0.0 <= abs_eta <= 1.0:
+        raise ValueError(f"|eta| must lie in [0, 1], got {abs_eta!r}")
     zeta = math.sqrt(max(1.0 - abs_eta**2, 0.0))
     return CanonicalChannelParams(p=p, eta=complex(abs_eta), zeta=zeta)
 
@@ -400,18 +402,33 @@ def sweep_row(point: SweepPoint) -> dict[str, object]:
     }
 
 
+def _write_table(
+    stream: TextIO, fmt: str, header: Sequence[str], rows: Iterable[Sequence], obj=None
+) -> None:
+    """Render a header and rows as CSV, or write ``obj`` as JSON.
+
+    The JSON value defaults to the rows as objects keyed by the header.
+    """
+    if fmt == "csv":
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+        return
+    if obj is None:
+        obj = [dict(zip(header, row)) for row in rows]
+    json.dump(obj, stream, indent=2)
+    stream.write("\n")
+
+
+def _sweep_rows(points: Sequence[SweepPoint]) -> list[list]:
+    return [[row[col] for col in SWEEP_COLUMNS] for row in map(sweep_row, points)]
+
+
 def sweep_to_csv(points: Sequence[SweepPoint], stream: TextIO) -> None:
     """Write sweep results as CSV with the normative column order."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for point in points:
-        row = sweep_row(point)
-        writer.writerow([_cell(row[col]) for col in SWEEP_COLUMNS])
+    _write_table(stream, "csv", SWEEP_COLUMNS, _sweep_rows(points))
 
 
 def sweep_to_json(points: Sequence[SweepPoint], stream: TextIO) -> None:
     """Write sweep results as a JSON array of row objects."""
-    rows = [sweep_row(point) for point in points]
-    json.dump(rows, stream, indent=2)
-    stream.write("\n")
-
+    _write_table(stream, "json", SWEEP_COLUMNS, _sweep_rows(points))

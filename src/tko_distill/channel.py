@@ -19,13 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingleKrausChannelError
-from .linalg import ATOL, ID2, PHI_PLUS, check_density_matrix, dagger, is_unitary, svd
+from .linalg import ATOL, ID2, PHI_PLUS, dagger, is_unitary, projector, svd
 
 _RANK1_TOL = 1e-12
 # A channel is unitary iff its Choi matrix has rank one.  For a genuine
 # two-operator channel the second Choi eigenvalue is at least p/4, so this
 # cutoff only reclassifies channels with p below ~4e-12 as unitary.
 _UNITARY_TOL = 1e-12
+_PHI_PLUS_STATE = projector(PHI_PLUS)
 
 
 def _as_kraus_matrix(m, name: str) -> np.ndarray:
@@ -127,22 +128,13 @@ def choi(kp: KrausPair) -> np.ndarray:
 
     Two Kraus pairs implement the same channel map iff their Choi matrices
     are equal, which makes this the remix-invariant equality certificate.
+    It is also the state the agents share: |Phi+> with its second half sent
+    through the channel.
     """
     out = np.zeros((4, 4), dtype=complex)
     for c in (kp.c1, kp.c2):
-        v = np.kron(ID2, c) @ PHI_PLUS
-        out += np.outer(v, v.conj())
-    return out
-
-
-def apply_to_second_qubit(rho0: np.ndarray, kp: KrausPair) -> np.ndarray:
-    """Send the second qubit of a two-qubit state through the channel."""
-    rho0 = np.asarray(rho0, dtype=complex)
-    check_density_matrix(rho0)
-    out = np.zeros((4, 4), dtype=complex)
-    for c in (kp.c1, kp.c2):
         op = np.kron(ID2, c)
-        out += op @ rho0 @ dagger(op)
+        out += op @ _PHI_PLUS_STATE @ dagger(op)
     return out
 
 
@@ -256,16 +248,18 @@ def params_to_json(cp: CanonicalChannelParams) -> dict:
     }
 
 
-def channel_from_json(obj: dict) -> KrausPair:
-    """Parse a channel spec: either explicit Kraus matrices or canonical params.
+def _spec_from_json(obj) -> KrausPair | CanonicalChannelParams:
+    """The object a channel spec names: a Kraus pair or canonical parameters.
 
-    Accepted forms:
+    Accepted forms (``"canonical"`` wins when both keys are present):
         {"kraus": [[[re,im], ...4 entries], [[re,im], ...4 entries]]}
         {"canonical": {"p": <real>, "eta": <real> | [re, im],
                        "u": <matrix, optional>, "v": <matrix, optional>}}
     """
     if not isinstance(obj, dict):
         raise ValueError("channel spec must be a JSON object")
+    if "canonical" in obj:
+        return canonical_params_from_json(obj["canonical"])
     if "kraus" in obj:
         mats = obj["kraus"]
         if not isinstance(mats, (list, tuple)) or len(mats) != 2:
@@ -273,9 +267,16 @@ def channel_from_json(obj: dict) -> KrausPair:
         return KrausPair(
             matrix_from_json(mats[0], "kraus[0]"), matrix_from_json(mats[1], "kraus[1]")
         )
-    if "canonical" in obj:
-        return kraus_from_params(canonical_params_from_json(obj["canonical"]))
     raise ValueError("channel spec needs a 'kraus' or 'canonical' key")
+
+
+def _as_kraus(spec: KrausPair | CanonicalChannelParams) -> KrausPair:
+    return spec if isinstance(spec, KrausPair) else kraus_from_params(spec)
+
+
+def channel_from_json(obj: dict) -> KrausPair:
+    """Parse a channel spec (see `_spec_from_json`) into its Kraus pair."""
+    return _as_kraus(_spec_from_json(obj))
 
 
 def canonical_params_from_json(spec: dict) -> CanonicalChannelParams:

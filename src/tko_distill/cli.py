@@ -10,8 +10,10 @@ sweep-p       sweep noise severity p at fixed channel type |eta|
 sweep-eta     sweep channel type |eta| at fixed noise severity p
 figure        presets reproducing the reference data sets (ids 2, 3, 4)
 
-Channels are given either inline (``--p``/``--eta``, with |eta| real) or as a
-JSON file (``--in``) holding ``{"kraus": [...]}`` or ``{"canonical": {...}}``.
+validate, canonicalize, state and distill take a channel either inline
+(``--p``/``--eta``, with |eta| real in [0, 1]) or as a JSON file (``--in``)
+holding ``{"kraus": [...]}`` or ``{"canonical": {...}}``.  Sweeps need at
+least two grid steps.
 Exit codes: 0 success, 1 input error, 2 domain error (for example p >= 1 or a
 non-distillable state), 3 engine cross-check failure.
 """
@@ -19,18 +21,16 @@ non-distillable state), 3 engine cross-check failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
 from .analysis import (
-    SweepPoint,
-    _cell,
     _channel_for,
+    _write_table,
     sweep_eta,
     sweep_p,
     sweep_to_csv,
@@ -39,10 +39,9 @@ from .analysis import (
 from .channel import (
     CanonicalChannelParams,
     KrausPair,
-    canonical_params_from_json,
+    _as_kraus,
+    _spec_from_json,
     canonicalize,
-    channel_from_json,
-    kraus_from_params,
     matrix_to_json,
     params_to_json,
     validate,
@@ -74,11 +73,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _print_json(obj, stream: TextIO) -> None:
-    json.dump(obj, stream, indent=2)
-    stream.write("\n")
-
-
 def _emit_error(code: str, detail: str, fmt: str) -> None:
     if fmt == "json":
         json.dump({"error": code, "detail": detail}, sys.stderr)
@@ -104,26 +98,22 @@ def _add_format_arg(sub: argparse.ArgumentParser, default: str) -> None:
     )
 
 
-def _load_spec(args) -> tuple[KrausPair, CanonicalChannelParams | None]:
-    """Resolve the channel inputs to a Kraus pair (plus params when given)."""
+def _load_spec(args) -> KrausPair | CanonicalChannelParams:
+    """Resolve the channel inputs to the Kraus pair or parameters they name."""
     inline = args.p is not None or args.eta is not None
     if args.in_path and inline:
         raise ValueError("give either --in or --p/--eta, not both")
     if args.in_path:
         with open(args.in_path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        if not isinstance(obj, dict):
-            raise ValueError("channel spec must be a JSON object")
-        if "canonical" in obj:
-            cp = canonical_params_from_json(obj["canonical"])
-            return kraus_from_params(cp), cp
-        return channel_from_json(obj), None
+            return _spec_from_json(json.load(fh))
     if args.p is None or args.eta is None:
         raise ValueError("channel input required: --in FILE or both --p and --eta")
-    if not 0.0 <= args.eta <= 1.0:
-        raise ValueError("--eta takes |eta| in [0, 1]")
-    cp = _channel_for(args.p, args.eta)
-    return kraus_from_params(cp), cp
+    return _channel_for(args.p, args.eta)
+
+
+def _load_params(args) -> CanonicalChannelParams:
+    spec = _load_spec(args)
+    return canonicalize(spec) if isinstance(spec, KrausPair) else spec
 
 
 # ---------------------------------------------------------------------------
@@ -132,87 +122,27 @@ def _load_spec(args) -> tuple[KrausPair, CanonicalChannelParams | None]:
 
 
 def _cmd_validate(args) -> int:
-    kp, _ = _load_spec(args)
-    result = validate(kp)
-    if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["ok", "deviation"])
-        writer.writerow([_cell(result.ok), _cell(result.deviation)])
-    else:
-        _print_json({"ok": result.ok, "deviation": result.deviation}, sys.stdout)
+    result = validate(_as_kraus(_load_spec(args)))
+    header, row = ["ok", "deviation"], [result.ok, result.deviation]
+    _write_table(sys.stdout, args.format, header, [row], dict(zip(header, row)))
     return 0
 
 
 def _cmd_canonicalize(args) -> int:
-    kp, cp_in = _load_spec(args)
-    cp = cp_in if cp_in is not None else canonicalize(kp)
-    if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["p", "abs_eta", "zeta"])
-        writer.writerow([_cell(cp.p), _cell(cp.abs_eta), _cell(cp.zeta)])
-    else:
-        _print_json(params_to_json(cp), sys.stdout)
+    cp = _load_params(args)
+    header, row = ["p", "abs_eta", "zeta"], [cp.p, cp.abs_eta, cp.zeta]
+    _write_table(sys.stdout, args.format, header, [row], params_to_json(cp))
     return 0
 
 
 def _cmd_state(args) -> int:
-    kp, _ = _load_spec(args)
-    params = canonical_decompose(shared_state(kp))
-    if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        cols = ["fidelity", "alpha", "beta", "gamma", "delta", "theta"]
-        writer.writerow(cols)
-        writer.writerow([_cell(float(getattr(params, c))) for c in cols])
-    else:
-        _print_json(
-            {
-                "fidelity": params.fidelity,
-                "alpha": params.alpha,
-                "beta": params.beta,
-                "gamma": params.gamma,
-                "delta": params.delta,
-                "theta": params.theta,
-                "u_a": matrix_to_json(params.u_a),
-                "u_b": matrix_to_json(params.u_b),
-            },
-            sys.stdout,
-        )
+    params = canonical_decompose(shared_state(_as_kraus(_load_spec(args))))
+    header = ["fidelity", "alpha", "beta", "gamma", "delta", "theta"]
+    row = [getattr(params, c) for c in header]
+    obj = dict(zip(header, row))
+    obj.update(u_a=matrix_to_json(params.u_a), u_b=matrix_to_json(params.u_b))
+    _write_table(sys.stdout, args.format, header, [row], obj)
     return 0
-
-
-def _trace_rows(trace: DistillationTrace) -> list[dict]:
-    return [
-        {
-            "round": rec.round_index,
-            "fidelity": rec.fidelity,
-            "keep_prob": rec.keep_prob,
-            "cumulative_yield": rec.cumulative_yield,
-        }
-        for rec in trace.records
-    ]
-
-
-def _write_trace(trace: DistillationTrace, fmt: str, stream: TextIO) -> None:
-    if fmt == "csv":
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["round", "fidelity", "keep_prob", "cumulative_yield"])
-        for rec in trace.records:
-            writer.writerow(
-                [rec.round_index, _cell(rec.fidelity), _cell(rec.keep_prob), _cell(rec.cumulative_yield)]
-            )
-    else:
-        _print_json(
-            {
-                "policy": trace.policy.value,
-                "engine": trace.engine,
-                "threshold": trace.threshold,
-                "reached": trace.reached,
-                "rounds": trace.rounds,
-                "final_fidelity": trace.final_fidelity,
-                "records": _trace_rows(trace),
-            },
-            stream,
-        )
 
 
 def _traces_disagree(a: DistillationTrace, b: DistillationTrace) -> str | None:
@@ -233,22 +163,30 @@ def _traces_disagree(a: DistillationTrace, b: DistillationTrace) -> str | None:
 
 
 def _cmd_distill(args) -> int:
-    kp, cp_in = _load_spec(args)
-    cp = cp_in if cp_in is not None else canonicalize(kp)
-    policy = Policy(args.policy)
+    cp = _load_params(args)
+    if args.check_analytic and args.engine != "exact":
+        raise ValueError("--check-analytic requires --engine exact")
+    budget = {"f_th": args.f_th, "max_rounds": args.max_rounds}
+    trace = run(cp, args.policy, engine=args.engine, **budget)
     if args.check_analytic:
-        if args.engine != "exact":
-            raise ValueError("--check-analytic requires --engine exact")
-        if policy not in (Policy.FP, Policy.PP):
-            raise ValueError("--check-analytic applies to the fp and pp policies only")
-    trace = run(cp, policy, f_th=args.f_th, max_rounds=args.max_rounds, engine=args.engine)
-    if args.check_analytic:
-        reference = run(cp, policy, f_th=args.f_th, max_rounds=args.max_rounds, engine="analytic")
-        verdict = _traces_disagree(trace, reference)
+        # run's engine table rejects the policies that lack either engine; the
+        # exact run goes first, so bbpssw's misuse is not masked by its domain errors.
+        verdict = _traces_disagree(trace, run(cp, args.policy, engine="analytic", **budget))
         if verdict is not None:
             _emit_error("engine-mismatch", verdict, args.format)
             return 3
-    _write_trace(trace, args.format, sys.stdout)
+    header = ["round", "fidelity", "keep_prob", "cumulative_yield"]
+    rows = [[r.round_index, r.fidelity, r.keep_prob, r.cumulative_yield] for r in trace.records]
+    obj = {
+        "policy": trace.policy.value,
+        "engine": trace.engine,
+        "threshold": trace.threshold,
+        "reached": trace.reached,
+        "rounds": trace.rounds,
+        "final_fidelity": trace.final_fidelity,
+        "records": [dict(zip(header, row)) for row in rows],
+    }
+    _write_table(sys.stdout, args.format, header, rows, obj)
     return 0
 
 
@@ -259,60 +197,30 @@ def _parse_policies(raw: str) -> tuple[Policy, ...]:
     return tuple(Policy(name) for name in names)
 
 
-def _parse_grid(raw: str | None, lo: float, hi: float, steps: int, name: str) -> list[float]:
-    if raw is not None:
+def _sweep_grid(args) -> list[float]:
+    """The swept values: the explicit list, else ``--steps`` warped grid points."""
+    if args.values is not None:
         try:
-            values = [float(part) for part in raw.split(",") if part.strip()]
+            values = [float(part) for part in args.values.split(",") if part.strip()]
         except ValueError as exc:
-            raise ValueError(f"bad {name} list: {exc}") from None
+            raise ValueError(f"bad {args.axis} list: {exc}") from None
         if not values:
-            raise ValueError(f"no {name} values given")
+            raise ValueError(f"no {args.axis} values given")
         return values
-    if steps < 2:
+    if args.steps < 2:
         raise ValueError("--steps must be at least 2")
-    return [float(v) for v in np.linspace(lo, hi, steps)]
+    return [float(v) for v in args.warp(np.linspace(args.lo, args.hi, args.steps))]
 
 
-def _write_sweep(points: Sequence[SweepPoint], fmt: str) -> None:
-    if fmt == "csv":
-        sweep_to_csv(points, sys.stdout)
-    else:
-        sweep_to_json(points, sys.stdout)
-
-
-def _cmd_sweep_p(args) -> int:
-    if not 0.0 <= args.eta <= 1.0:
-        raise ValueError("--eta takes |eta| in [0, 1]")
-    p_values = _parse_grid(args.p_values, args.p_min, args.p_max, args.steps, "p")
-    points = sweep_p(
-        args.eta,
-        p_values,
+def _cmd_sweep(args) -> int:
+    points = args.sweep(
+        args.fixed,
+        _sweep_grid(args),
         f_th=args.f_th,
         policies=_parse_policies(args.policies),
         max_rounds=args.max_rounds,
     )
-    _write_sweep(points, args.format)
-    return 0
-
-
-def _cmd_sweep_eta(args) -> int:
-    if args.eta_values is not None:
-        eta_values = _parse_grid(args.eta_values, 0.0, 1.0, args.steps, "eta")
-        if any(not 0.0 <= v <= 1.0 for v in eta_values):
-            raise ValueError("--eta-values entries must lie in [0, 1]")
-    else:
-        # Uniform grid in arcsin|eta| over [0, pi/2], matching how channel
-        # families are usually displayed.
-        angles = np.linspace(0.0, math.pi / 2.0, args.steps)
-        eta_values = [float(v) for v in np.sin(angles)]
-    points = sweep_eta(
-        args.p,
-        eta_values,
-        f_th=args.f_th,
-        policies=_parse_policies(args.policies),
-        max_rounds=args.max_rounds,
-    )
-    _write_sweep(points, args.format)
+    (sweep_to_csv if args.format == "csv" else sweep_to_json)(points, sys.stdout)
     return 0
 
 
@@ -356,14 +264,7 @@ def _cmd_figure(args) -> int:
     if args.id in _FIGURE_SWEEPS:
         sweep = _build_parser().parse_args([*_FIGURE_SWEEPS[args.id], "--format", args.format])
         return sweep.func(sweep)
-    header, rows = _figure_two_rows()
-    if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
-    else:
-        _print_json([dict(zip(header, row)) for row in rows], sys.stdout)
+    _write_table(sys.stdout, args.format, *_figure_two_rows())
     return 0
 
 
@@ -411,22 +312,35 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_distill)
 
     sp = sub.add_parser("sweep-p", help="sweep noise severity at fixed |eta|")
-    sp.add_argument("--eta", type=float, required=True, help="channel type |eta| in [0, 1]")
-    sp.add_argument("--p-min", type=float, default=0.0)
-    sp.add_argument("--p-max", type=float, default=0.99)
+    sp.add_argument(
+        "--eta", dest="fixed", metavar="ETA", type=float, required=True,
+        help="channel type |eta| in [0, 1]",
+    )
+    sp.add_argument("--p-min", dest="lo", metavar="P_MIN", type=float, default=0.0)
+    sp.add_argument("--p-max", dest="hi", metavar="P_MAX", type=float, default=0.99)
     sp.add_argument("--steps", type=int, default=100, help="grid size (default 100)")
-    sp.add_argument("--p-values", help="explicit comma-separated p list (overrides the grid)")
+    sp.add_argument(
+        "--p-values", dest="values", metavar="P_VALUES",
+        help="explicit comma-separated p list (overrides the grid)",
+    )
     _add_sweep_common(sp)
-    sp.set_defaults(func=_cmd_sweep_p)
+    sp.set_defaults(sweep=sweep_p, axis="p", warp=np.asarray)
 
     sp = sub.add_parser("sweep-eta", help="sweep channel type at fixed p")
-    sp.add_argument("--p", type=float, required=True, help="noise severity p")
+    sp.add_argument(
+        "--p", dest="fixed", metavar="P", type=float, required=True, help="noise severity p"
+    )
     sp.add_argument(
         "--steps", type=int, default=100, help="arcsin|eta| grid size over [0, pi/2] (default 100)"
     )
-    sp.add_argument("--eta-values", help="explicit comma-separated |eta| list (overrides the grid)")
+    sp.add_argument(
+        "--eta-values", dest="values", metavar="ETA_VALUES",
+        help="explicit comma-separated |eta| list (overrides the grid)",
+    )
     _add_sweep_common(sp)
-    sp.set_defaults(func=_cmd_sweep_eta)
+    # Uniform grid in arcsin|eta| over [0, pi/2], matching how channel
+    # families are usually displayed.
+    sp.set_defaults(sweep=sweep_eta, axis="eta", lo=0.0, hi=math.pi / 2.0, warp=np.sin)
 
     sp = sub.add_parser("figure", help="reference data presets")
     sp.add_argument("--id", type=int, required=True, choices=(2, 3, 4))
@@ -445,6 +359,7 @@ def _add_sweep_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--f-th", type=float, default=0.99)
     sp.add_argument("--max-rounds", type=int, default=64)
     _add_format_arg(sp, "csv")
+    sp.set_defaults(func=_cmd_sweep)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import KrausPair, apply_to_second_qubit
+from .channel import KrausPair, choi
 from .errors import EntanglementDestroyedError, NonDistillableError
 from .linalg import (
     ATOL,
     ID2,
-    PHI_PLUS,
     check_density_matrix,
     dagger,
     eig_hermitian,
@@ -91,7 +90,7 @@ class CanonicalStateParams:
 
 def shared_state(kp: KrausPair) -> np.ndarray:
     """State shared by the agents: |Phi+> with its second half sent through kp."""
-    return apply_to_second_qubit(projector(PHI_PLUS), kp)
+    return choi(kp)
 
 
 def params_analytic(p: float, abs_eta: float) -> tuple[float, float, float, float, float]:

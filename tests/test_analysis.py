@@ -253,6 +253,18 @@ def test_run_point_success_and_domain_failure():
     assert bad.rounds is None and bad.report is None
 
 
+def test_sweeps_reject_abs_eta_outside_unit_interval():
+    with pytest.raises(ValueError, match=r"\|eta\|"):
+        sweep_p(-0.5, [0.3], policies=(Policy.FP,))
+    with pytest.raises(ValueError, match=r"\|eta\|"):
+        run_point(0.3, 1.5, Policy.FP)
+    with pytest.raises(ValueError, match=r"\|eta\|"):
+        sweep_eta(0.3, [0.5, float("nan")], policies=(Policy.FP,))
+    # The top of the default arcsin grid is sin(pi/2), exactly 1.0.
+    (edge,) = sweep_eta(0.7, [float(np.sin(np.pi / 2.0))], policies=(Policy.FP,))
+    assert edge.abs_eta == 1.0 and edge.reached
+
+
 def test_sweep_p_noiseless_yield_is_one():
     points = sweep_p(0.7, [0.0], f_th=0.99)
     assert len(points) == 4

@@ -18,8 +18,8 @@ from tko_distill import (
     remix,
     validate,
 )
-from tko_distill.channel import apply_to_second_qubit, require_valid
-from tko_distill.linalg import PHI_PLUS, dagger, projector
+from tko_distill.channel import require_valid
+from tko_distill.linalg import dagger
 
 
 def _pd_kraus(p: float) -> KrausPair:
@@ -125,12 +125,6 @@ def test_choi_is_a_density_matrix():
         assert np.min(np.linalg.eigvalsh((ch + dagger(ch)) / 2.0)) > -1e-12
 
 
-def test_apply_to_second_qubit_identity_channel():
-    kp = KrausPair(ID2, np.zeros((2, 2), dtype=complex))
-    rho = projector(PHI_PLUS)
-    assert np.max(np.abs(apply_to_second_qubit(rho, kp) - rho)) < 1e-12
-
-
 def test_channel_json_roundtrip():
     rng = np.random.default_rng(17)
     kp, _, _ = random_channel(rng)
@@ -138,6 +132,14 @@ def test_channel_json_roundtrip():
     back = channel_from_json(obj)
     assert np.max(np.abs(back.c1 - kp.c1)) < 1e-15
     assert np.max(np.abs(back.c2 - kp.c2)) < 1e-15
+
+
+def test_channel_spec_with_both_keys_reads_canonical():
+    kraus = channel_to_json(kraus_from_params(plain_params(0.2, 0.0)))["kraus"]
+    canonical = {"p": 0.6, "eta": [0.0, 0.8]}
+    back = channel_from_json({"kraus": kraus, "canonical": canonical})
+    want = kraus_from_params(canonical_params_from_json(canonical))
+    assert np.array_equal(back.c1, want.c1) and np.array_equal(back.c2, want.c2)
 
 
 def test_params_json_roundtrip_and_minimal_form():

@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -212,6 +214,26 @@ def test_sweep_eta_csv(cli):
     assert [ln.split(",")[1] for ln in lines[1:]] == ["0.0", "0.0", "1.0", "1.0"]
 
 
+@pytest.mark.parametrize("steps", ["0", "1"])
+@pytest.mark.parametrize(
+    "fixed", [("sweep-p", "--eta", "0.5"), ("sweep-eta", "--p", "0.7")], ids=["sweep-p", "sweep-eta"]
+)
+def test_sweeps_need_two_grid_steps(cli, fixed, steps):
+    rc, out, err = cli(*fixed, "--steps", steps, "--policies", "fp")
+    assert rc == 1 and out == ""
+    assert "--steps must be at least 2" in err
+
+
+def test_sweep_rejects_abs_eta_outside_unit_interval(cli):
+    for argv in (
+        ("sweep-p", "--eta", "1.5", "--p-values", "0.3"),
+        ("sweep-eta", "--p", "0.7", "--eta-values", "0.5,-0.5"),
+    ):
+        rc, out, err = cli(*argv, "--policies", "fp", "--format", "json")
+        assert rc == 1 and out == ""
+        assert json.loads(err)["error"] == "input-error" and "|eta|" in err
+
+
 def test_sweep_rejects_unknown_policy(cli):
     rc, _, err = cli("sweep-p", "--eta", "1.0", "--p-values", "0.2", "--policies", "bogus")
     assert rc == 1 and err != ""
@@ -294,3 +316,58 @@ def test_cli_rejects_conflicting_channel_specs(cli, tmp_path):
     path = _write_channel(tmp_path, kp)
     rc, _, err = cli("canonicalize", "--in", path, "--p", "0.4", "--eta", "0.8")
     assert rc == 1 and err != ""
+
+
+def _as_cell(value) -> str:
+    """How a JSON value appears as a CSV cell: floats by repr, null as empty."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _both_formats(cli, *argv):
+    rc_csv, out_csv, _ = cli(*argv, "--format", "csv")
+    rc_json, out_json, _ = cli(*argv, "--format", "json")
+    assert rc_csv == rc_json == 0
+    return list(csv.DictReader(io.StringIO(out_csv))), json.loads(out_json)
+
+
+def _assert_same_cells(row: dict, obj: dict) -> None:
+    for name, cell in row.items():
+        assert cell == _as_cell(obj[name]), name
+
+
+@pytest.mark.parametrize("command", ["validate", "canonicalize", "state"])
+def test_single_row_csv_matches_json(cli, tmp_path, command):
+    rng = np.random.default_rng(5)
+    kp, _, _ = random_channel(rng)
+    canonical = tmp_path / "canonical.json"
+    canonical.write_text(json.dumps({"canonical": {"p": 0.7, "eta": [0.3, 0.4]}}))
+    for channel in (
+        ("--p", "0.3", "--eta", "0.5"),
+        ("--in", _write_channel(tmp_path, kp)),
+        ("--in", str(canonical)),
+    ):
+        (row,), obj = _both_formats(cli, command, *channel)
+        if command == "canonicalize":
+            # JSON carries eta as [re, im]; CSV carries its modulus.
+            assert row.pop("abs_eta") == repr(abs(complex(*obj["eta"])))
+        _assert_same_cells(row, obj)
+
+
+@pytest.mark.parametrize("policy", ["fp", "pp", "qpa", "bbpssw"])
+def test_distill_csv_records_match_json(cli, policy):
+    rows, obj = _both_formats(cli, "distill", "--p", "0.6", "--eta", "0.5", "--policy", policy)
+    assert obj["policy"] == policy and len(rows) == len(obj["records"]) == obj["rounds"] + 1
+    for row, record in zip(rows, obj["records"]):
+        _assert_same_cells(row, record)
+
+
+def test_figure_two_csv_matches_json(cli):
+    rows, objs = _both_formats(cli, "figure", "--id", "2")
+    assert len(rows) == len(objs) > 0
+    for row, obj in zip(rows, objs):
+        assert list(row) == list(obj)
+        _assert_same_cells(row, obj)
