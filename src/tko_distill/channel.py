@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingleKrausChannelError
+from .errors import EntanglementDestroyedError, SingleKrausChannelError
 from .linalg import ATOL, ID2, PHI_PLUS, dagger, is_unitary, projector, svd
 
 _RANK1_TOL = 1e-12
@@ -85,6 +85,14 @@ class CanonicalChannelParams:
     @property
     def abs_eta(self) -> float:
         return abs(self.eta)
+
+
+def check_noise_severity(p: float) -> None:
+    """The one rule on p: p >= 1 leaves no entanglement, p < 0 is malformed."""
+    if p >= 1.0:
+        raise EntanglementDestroyedError(f"p={p} leaves no entanglement to distill")
+    if p < 0.0:
+        raise ValueError("noise severity p must be non-negative")
 
 
 def validate(kp: KrausPair) -> ChannelValidation:

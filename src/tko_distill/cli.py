@@ -42,6 +42,7 @@ from .channel import (
     _as_kraus,
     _spec_from_json,
     canonicalize,
+    check_noise_severity,
     matrix_to_json,
     params_to_json,
     validate,
@@ -111,8 +112,8 @@ def _load_spec(args) -> KrausPair | CanonicalChannelParams:
     return _channel_for(args.p, args.eta)
 
 
-def _load_params(args) -> CanonicalChannelParams:
-    spec = _load_spec(args)
+def _params_of(spec: KrausPair | CanonicalChannelParams) -> CanonicalChannelParams:
+    """Canonical parameters of a spec; canonicalize validates a Kraus pair."""
     return canonicalize(spec) if isinstance(spec, KrausPair) else spec
 
 
@@ -129,14 +130,16 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_canonicalize(args) -> int:
-    cp = _load_params(args)
+    cp = _params_of(_load_spec(args))
     header, row = ["p", "abs_eta", "zeta"], [cp.p, cp.abs_eta, cp.zeta]
     _write_table(sys.stdout, args.format, header, [row], params_to_json(cp))
     return 0
 
 
 def _cmd_state(args) -> int:
-    params = canonical_decompose(shared_state(_as_kraus(_load_spec(args))))
+    spec = _load_spec(args)
+    check_noise_severity(_params_of(spec).p)
+    params = canonical_decompose(shared_state(_as_kraus(spec)))
     header = ["fidelity", "alpha", "beta", "gamma", "delta", "theta"]
     row = [getattr(params, c) for c in header]
     obj = dict(zip(header, row))
@@ -163,7 +166,7 @@ def _traces_disagree(a: DistillationTrace, b: DistillationTrace) -> str | None:
 
 
 def _cmd_distill(args) -> int:
-    cp = _load_params(args)
+    cp = _params_of(_load_spec(args))
     if args.check_analytic and args.engine != "exact":
         raise ValueError("--check-analytic requires --engine exact")
     budget = {"f_th": args.f_th, "max_rounds": args.max_rounds}

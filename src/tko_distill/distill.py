@@ -20,8 +20,8 @@ from itertools import product
 
 import numpy as np
 
-from .channel import CanonicalChannelParams, kraus_from_params
-from .errors import DegenerateProtocolError, EntanglementDestroyedError, NonDistillableError
+from .channel import CanonicalChannelParams, check_noise_severity, kraus_from_params
+from .errors import DegenerateProtocolError, NonDistillableError
 from .linalg import HADAMARD, ID2, PHI_PLUS, dagger, pure_fidelity
 from .state import CanonicalStateParams, canonical_decompose, params_analytic, shared_state
 
@@ -329,8 +329,7 @@ def run(
         raise ValueError("threshold fidelity must lie in (1/2, 1]")
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
-    if channel.p >= 1.0:
-        raise EntanglementDestroyedError("p >= 1 leaves no entanglement to distill")
+    check_noise_severity(channel.p)
     if engine not in (None, "analytic", "exact"):
         raise ValueError(f"unknown engine {engine!r}")
     allowed = _ENGINES[policy]

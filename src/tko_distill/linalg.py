@@ -51,8 +51,8 @@ def is_unitary(m: np.ndarray) -> bool:
     return bool(np.max(np.abs(dagger(m) @ m - np.eye(m.shape[1]))) <= ATOL)
 
 
-def check_density_matrix(rho: np.ndarray) -> None:
-    """Raise ValueError unless rho is a trace-1 PSD two-qubit matrix."""
+def check_density_matrix(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eig_hermitian(rho), once rho is checked to be a trace-1 PSD two-qubit matrix."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got {rho.shape}")
@@ -62,19 +62,20 @@ def check_density_matrix(rho: np.ndarray) -> None:
         raise ValueError("density matrix is not Hermitian within tolerance")
     if abs(np.trace(rho).real - 1.0) > ATOL or abs(np.trace(rho).imag) > ATOL:
         raise ValueError("density matrix trace differs from 1")
-    evals = np.linalg.eigvalsh((rho + dagger(rho)) / 2.0)
-    if evals[0] < -ATOL:
-        raise ValueError(f"density matrix has negative eigenvalue {evals[0]:.3e}")
+    evals, evecs = eig_hermitian(rho)
+    if evals[-1] < -ATOL:
+        raise ValueError(f"density matrix has negative eigenvalue {evals[-1]:.3e}")
+    return evals, evecs
 
 
-def _fix_phase(vec: np.ndarray) -> tuple[np.ndarray, complex]:
-    """Rotate vec so its largest-magnitude entry is real positive."""
-    idx = int(np.argmax(np.abs(vec)))
-    a = vec[idx]
-    if abs(a) < 1e-15:
-        return vec, 1.0 + 0.0j
-    phase = a / abs(a)
-    return vec / phase, phase
+def column_phases(m: np.ndarray) -> np.ndarray:
+    """Unit phase of the largest-magnitude entry of each column of a unitary m.
+
+    Dividing each column by its phase makes that entry real positive, the one
+    phase gauge of this module's decompositions.
+    """
+    top = m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])]
+    return top / np.hypot(top.real, top.imag)
 
 
 def _lex_key(vec: np.ndarray):
@@ -103,14 +104,12 @@ def _order_degenerate(vals: np.ndarray, *mats: np.ndarray) -> None:
 
 
 def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD m = U diag(s) V^dag with s descending and a deterministic gauge."""
+    """SVD m = U diag(s) V^dag of a square m, s descending, deterministic gauge."""
     m = np.asarray(m, dtype=complex)
     u, s, vh = np.linalg.svd(m)
-    u = u.copy()
-    v = vh.conj().T.copy()
-    for i in range(s.size):
-        u[:, i], phase = _fix_phase(u[:, i])
-        v[:, i] = v[:, i] / phase
+    phases = column_phases(u)
+    u = u / phases
+    v = vh.conj().T / phases
     _order_degenerate(s, u, v)
     return u, s, v
 
@@ -122,9 +121,8 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("matrix is not Hermitian within tolerance")
     w, vecs = np.linalg.eigh((h + dagger(h)) / 2.0)
     w = np.ascontiguousarray(w[::-1])
-    vecs = np.ascontiguousarray(vecs[:, ::-1])
-    for i in range(w.size):
-        vecs[:, i], _ = _fix_phase(vecs[:, i])
+    vecs = vecs[:, ::-1]
+    vecs = vecs / column_phases(vecs)
     _order_degenerate(w, vecs)
     return w, vecs
 

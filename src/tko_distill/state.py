@@ -18,24 +18,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import KrausPair, choi
-from .errors import EntanglementDestroyedError, NonDistillableError
+from .channel import KrausPair, check_noise_severity, choi
+from .errors import NonDistillableError
 from .linalg import (
     ATOL,
+    HADAMARD,
     ID2,
     check_density_matrix,
+    column_phases,
     dagger,
-    eig_hermitian,
     is_unitary,
     projector,
     schmidt,
 )
 
-# Below this Schmidt-coefficient gap the top eigenvector counts as maximally
-# entangled and the dedicated degenerate construction is used.  The switch
-# point balances the two error modes: the generic path loses ~eps/gap through
-# singular-vector conditioning while the degenerate path loses ~gap.
+# The generic path reads u_a, u_b off the Schmidt basis of the top eigenvector.
+# Rounding moves that eigenvector by ~eps / (2F - 1), the eigenvalue gap, and
+# the Schmidt step amplifies this by 1 / (alpha - beta).  Below this product
+# the rotation built from both eigenvectors (_degenerate_rotations) is used
+# instead; it stays accurate as the Schmidt gap closes.
 _DEGENERATE_GAP = 1e-8
+# Top eigenvalues within this of 1/2 count as 1/2.  It sits far above
+# eigenvalue rounding (~1e-16) and below F - 1/2 = (1 - p)/2 of amplitude
+# damping at p = 1 - 1e-9, which the closed forms still distill.
+_HALF_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -100,10 +106,7 @@ def params_analytic(p: float, abs_eta: float) -> tuple[float, float, float, floa
     """
     p = float(p)
     abs_eta = float(abs_eta)
-    if p >= 1.0:
-        raise EntanglementDestroyedError(f"p={p} leaves no entanglement to distill")
-    if p < 0.0:
-        raise ValueError("noise severity p must be non-negative")
+    check_noise_severity(p)
     if not 0.0 <= abs_eta <= 1.0 + ATOL:
         raise ValueError("|eta| must lie in [0, 1]")
     root = np.sqrt((1.0 - p) * (1.0 - abs_eta**2 * p))
@@ -126,17 +129,6 @@ def params_analytic(p: float, abs_eta: float) -> tuple[float, float, float, floa
     return float(f), float(alpha), float(beta), float(gamma), float(delta)
 
 
-def _rotation_from_schmidt(basis: np.ndarray) -> np.ndarray:
-    """Unitary mapping the Schmidt vectors (columns) onto |0>, |1>."""
-    return np.vstack([basis[:, 0].conj(), basis[:, 1].conj()])
-
-
-def _polar_unitary(m: np.ndarray) -> np.ndarray:
-    """Closest unitary to m (polar decomposition)."""
-    u, _, vh = np.linalg.svd(m)
-    return u @ vh
-
-
 def _bloch_spinor(axis: np.ndarray) -> np.ndarray:
     """Unit spinor whose Bloch vector is the given real unit axis."""
     theta = np.arccos(np.clip(axis[2], -1.0, 1.0))
@@ -145,15 +137,16 @@ def _bloch_spinor(axis: np.ndarray) -> np.ndarray:
 
 
 def _degenerate_rotations(psi: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Local rotations for a maximally entangled top eigenvector.
+    """Local rotations from both eigenvectors, for a (nearly) maximally entangled psi.
 
-    When psi is maximally entangled its Schmidt basis is not unique, and an
-    arbitrary choice will not steer the second eigenvector phi into
-    span{|01>, |10>}.  Writing W = sqrt2 * mat(psi) (unitary up to the
-    degeneracy gap), orthogonality of psi and phi makes
-    G = sqrt2 * mat(phi) W^dag traceless; with u_b = conj(u_a W) the rotated
-    phi has matrix u_a G u_a^dag / sqrt2, so phi lands in span{|01>, |10>}
-    exactly when that conjugation zeroes G's diagonal.
+    Near maximal entanglement the Schmidt basis of psi is ill-conditioned or
+    not unique, and will not reliably steer the second eigenvector phi into
+    span{|01>, |10>}.  Writing W = sqrt2 * mat(psi), orthogonality of psi and
+    phi makes G = sqrt2 * mat(phi) W^dag traceless.  With u_b the unitary
+    polar factor of conj(u_a W), P = u_a W u_b^T is positive (diagonal for a
+    TKO state once u_a is right) and the rotated phi has matrix
+    (u_a G u_a^dag) P^-1 / sqrt2, so phi lands in span{|01>, |10>} exactly
+    when that conjugation zeroes G's diagonal.
 
     Writing G = g . sigma (complex Pauli vector g), the diagonal of the
     conjugated G is the projection of g onto the rotated z-axis, so u_a must
@@ -173,9 +166,7 @@ def _degenerate_rotations(psi: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray,
         g_minus = evecs[:, order[1]]
         g_minus = g_minus - (g_plus.conj() @ g_minus) * g_plus
         g_minus = g_minus / np.linalg.norm(g_minus)
-        plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-        minus = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
-        u_a = np.outer(plus, g_plus.conj()) + np.outer(minus, g_minus.conj())
+        u_a = HADAMARD @ dagger(np.column_stack([g_plus, g_minus]))
     else:
         gvec = np.array(
             [(g[0, 1] + g[1, 0]) / 2.0, (g[1, 0] - g[0, 1]) / 2.0j, g[0, 0]]
@@ -195,24 +186,21 @@ def _degenerate_rotations(psi: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray,
         v = _bloch_spinor(axis)
         u_a = np.array([[v[0].conj(), v[1].conj()], [-v[1], v[0]]])
 
-    u_b = _polar_unitary((u_a @ w).conj())
+    left, _, right = np.linalg.svd((u_a @ w).conj())
+    u_b = left @ right
     # Orientation: keep the smaller nu component on |01> (gamma <= delta);
-    # X (x) X swaps both while fixing |Phi+>.
+    # X (x) X swaps both while fixing |Phi+>.  A tie (gamma = delta, the
+    # |eta| = 0 family) keeps the orientation built above, so rounding cannot
+    # flip it.
     nu = np.kron(u_a, u_b) @ phi
-    if abs(nu[1]) > abs(nu[2]):
-        x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        u_a = x @ u_a
-        u_b = x @ u_b
+    if abs(nu[1]) > abs(nu[2]) + 1e-12:
+        u_a, u_b = u_a[::-1], u_b[::-1]
     # Row-phase gauge: largest entry of each u_a row real positive, with
     # compensating phases on u_b so mu keeps real non-negative coefficients.
     # Pins the Hadamard pair on the plain phase-damping state.
-    d = np.ones(2, dtype=complex)
-    for k in (0, 1):
-        entry = u_a[k, int(np.argmax(np.abs(u_a[k])))]
-        if abs(entry) > 0.0:
-            d[k] = (entry / abs(entry)).conj()
-    u_a = d[:, None] * u_a
-    u_b = d.conj()[:, None] * u_b
+    phases = column_phases(u_a.T)[:, None]
+    u_a = phases.conj() * u_a
+    u_b = phases * u_b
     return u_a, u_b
 
 
@@ -222,62 +210,55 @@ def canonical_decompose(rho: np.ndarray) -> CanonicalStateParams:
     The construction follows the rank-2 spectral decomposition: the top
     eigenvector is Schmidt-rotated onto alpha|00> + beta|11>, which is
     guaranteed (for genuine TKO states) to carry the second eigenvector into
-    span{|01>, |10>}, where gamma, delta and theta are read off.  Maximally
-    entangled top eigenvectors take a dedicated branch (see
-    _degenerate_rotations), as does the pure noiseless case.
+    span{|01>, |10>}, where gamma, delta and theta are read off.  Top
+    eigenvectors too close to maximally entangled for that rotation take a
+    dedicated branch (see _degenerate_rotations); the pure noiseless case
+    keeps the Schmidt rotation and fixes nu by convention.
 
     Raises ValueError for states of rank > 2 or states that are not locally
     equivalent to the canonical form, and NonDistillableError when the top
     eigenvalue is at or below 1/2.
     """
-    rho = np.asarray(rho, dtype=complex)
-    check_density_matrix(rho)
-    evals, evecs = eig_hermitian((rho + dagger(rho)) / 2.0)
+    evals, evecs = check_density_matrix(rho)
     if evals[2] > ATOL:
         raise ValueError(
             f"state has rank > 2 (third eigenvalue {evals[2]:.3e}); not a TKO-channel state"
         )
     f = float(evals[0])
-    if f <= 0.5 + ATOL:
+    if f <= 0.5 + _HALF_TOL:
         raise NonDistillableError(
             f"fidelity weight {f:.6f} is at or below 1/2; state cannot be distilled"
         )
-    psi = evecs[:, 0]
+    psi, phi = evecs[:, 0], evecs[:, 1]
     sch = schmidt(psi)
     alpha, beta = float(sch.coeffs[0]), float(sch.coeffs[1])
     if beta > alpha:
         # The svd tie-break may reorder coefficients equal up to rounding.
         alpha, beta = beta, alpha
 
-    if f >= 1.0 - ATOL:
-        # Pure maximally entangled state; nu carries no weight, fix it by convention.
-        u_a = _rotation_from_schmidt(sch.basis_a)
-        u_b = _rotation_from_schmidt(sch.basis_b)
-        half = np.sqrt(0.5)
-        params = CanonicalStateParams(1.0, alpha, beta, half, half, 0.0, u_a, u_b)
-        _require_reconstruction(params, rho)
-        return params
-
-    phi = evecs[:, 1]
-    if alpha - beta < _DEGENERATE_GAP:
+    pure = f >= 1.0 - ATOL
+    if not pure and (alpha - beta) * (2.0 * f - 1.0) < _DEGENERATE_GAP:
         u_a, u_b = _degenerate_rotations(psi, phi)
     else:
-        u_a = _rotation_from_schmidt(sch.basis_a)
-        u_b = _rotation_from_schmidt(sch.basis_b)
+        u_a, u_b = dagger(sch.basis_a), dagger(sch.basis_b)
 
-    nu_raw = np.kron(u_a, u_b) @ phi
-    gamma_amp, delta_amp = nu_raw[1], nu_raw[2]
-    scale = float(np.hypot(abs(gamma_amp), abs(delta_amp)))
-    if scale < 1e-12:
-        raise ValueError("second eigenvector vanishes on span{|01>,|10>}")
-    gamma = abs(gamma_amp) / scale
-    delta = abs(delta_amp) / scale
-    if gamma > 1e-9:
-        theta = float(np.angle(delta_amp / gamma_amp))
+    if pure:
+        # Maximally entangled pure state; nu carries no weight, fix it by convention.
+        f, gamma, delta, theta = 1.0, np.sqrt(0.5), np.sqrt(0.5), 0.0
     else:
-        gamma = 0.0
-        delta = 1.0
-        theta = 0.0
+        nu_raw = np.kron(u_a, u_b) @ phi
+        gamma_amp, delta_amp = nu_raw[1], nu_raw[2]
+        scale = float(np.hypot(abs(gamma_amp), abs(delta_amp)))
+        if scale < 1e-12:
+            raise ValueError("second eigenvector vanishes on span{|01>,|10>}")
+        gamma = abs(gamma_amp) / scale
+        delta = abs(delta_amp) / scale
+        if gamma > 1e-9:
+            theta = float(np.angle(delta_amp / gamma_amp))
+        else:
+            gamma = 0.0
+            delta = 1.0
+            theta = 0.0
     params = CanonicalStateParams(f, alpha, beta, gamma, delta, theta, u_a, u_b)
     _require_reconstruction(params, rho)
     return params

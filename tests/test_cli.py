@@ -116,6 +116,34 @@ def test_state_accepts_canonical_params_file(cli, tmp_path):
     assert abs(json.loads(out)["fidelity"] - f) < 1e-9
 
 
+def test_state_reports_p_one_as_entanglement_destroyed(cli, tmp_path):
+    # The same p >= 1 rule as distill, for each way a channel can come in.
+    cp = plain_params(1.0, 0.5)
+    canonical = tmp_path / "params.json"
+    canonical.write_text(json.dumps({"canonical": params_to_json(cp)}))
+    for spec in (
+        ("--p", "1", "--eta", "0.5"),
+        ("--in", _write_channel(tmp_path, kraus_from_params(cp))),
+        ("--in", str(canonical)),
+    ):
+        for command in ("state", "distill"):
+            extra = ("--policy", "fp") if command == "distill" else ()
+            rc, out, err = cli(command, *spec, *extra, "--format", "json")
+            assert rc == 2 and out == ""
+            assert json.loads(err)["error"] == "entanglement-destroyed"
+
+
+def test_state_validates_the_kraus_pair(cli, tmp_path):
+    leaky = KrausPair(np.eye(2, dtype=complex), np.ones((2, 2), dtype=complex))
+    rc, out, err = cli("state", "--in", _write_channel(tmp_path, leaky), "--format", "json")
+    assert rc == 1 and out == ""
+    assert "not trace preserving" in json.loads(err)["detail"]
+    ident = KrausPair(np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex))
+    rc, out, err = cli("state", "--in", _write_channel(tmp_path, ident), "--format", "json")
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "single-kraus-channel"
+
+
 def test_distill_amplitude_damping_single_round(cli):
     rc, out, _ = cli("distill", "--p", "0.8", "--eta", "1.0", "--policy", "fp")
     assert rc == 0
@@ -171,6 +199,17 @@ def test_distill_engine_cross_check(cli):
     )
     assert rc == 0
     assert out.splitlines()[-1].split(",")[0] == "1"
+
+
+@pytest.mark.parametrize("policy", ["fp", "pp"])
+@pytest.mark.parametrize("abs_eta", ["1e-05", "1"])
+def test_distill_exact_engine_at_the_edge_of_the_domain(cli, policy, abs_eta):
+    rc, out, err = cli(
+        "distill", "--p", "0.999999999", "--eta", abs_eta, "--policy", policy,
+        "--engine", "exact", "--check-analytic", "--format", "json",
+    )
+    assert rc == 0, err
+    assert json.loads(out)["reached"]
 
 
 def test_distill_cross_check_requires_exact_engine(cli):

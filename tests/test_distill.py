@@ -364,8 +364,7 @@ def test_run_domain_errors():
 
 def test_run_at_the_edge_of_the_domain():
     # At p = 1 - 1e-9 the fidelity weight sits within 1e-9 (|eta| = 1) or 2e-5
-    # (|eta| = 1e-5) of 1/2, where a numerical decomposition of the shared
-    # state is unreliable; the closed forms in (p, |eta|) still hold.
+    # (|eta| = 1e-5) of 1/2; the closed forms in (p, |eta|) still hold.
     p = 1.0 - 1e-9
     amp = plain_params(p, 1.0)
     fp = run(amp, Policy.FP)

@@ -127,6 +127,33 @@ def test_canonical_decompose_phase_damping_gives_hadamard():
     assert verify_canonical(prm, shared_state(kp)) < 1e-10
 
 
+def test_phase_damping_orientation_does_not_follow_rounding():
+    # At |eta| = 0, gamma = delta, so the orientation check compares two equal
+    # numbers.  A tie keeps the orientation of the construction: the plain
+    # state gives the Hadamard pair at every p, and 1e-16 of Hermitian noise
+    # on a dressed state does not swap both qubits (theta -> 2 pi - theta).
+    # u_b is compared up to a global phase, which follows the eigenvector's.
+    for p in (0.1, 0.25, 0.5, 0.7, 0.8, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-9):
+        prm = canonical_decompose(shared_state(kraus_from_params(plain_params(p, 0.0))))
+        assert np.max(np.abs(prm.u_a - HADAMARD)) < 1e-9, p
+        assert np.max(np.abs(prm.u_b - HADAMARD)) < 1e-9, p
+    rng = np.random.default_rng(778)
+    noise_rng = np.random.default_rng(3)
+    for _ in range(100):
+        cp = canonicalize(random_channel(rng, complex_eta=False)[0])
+        pd = CanonicalChannelParams(p=cp.p, eta=0.0j, zeta=1.0, u=cp.u, v=cp.v)
+        rho = shared_state(kraus_from_params(pd))
+        g = noise_rng.standard_normal((4, 4)) + 1j * noise_rng.standard_normal((4, 4))
+        noise = g + dagger(g)
+        noise -= np.trace(noise) / 4.0 * np.eye(4)
+        plain = canonical_decompose(rho)
+        nudged = canonical_decompose(rho + 1e-16 * noise / np.linalg.norm(noise))
+        turn = (nudged.theta - plain.theta + np.pi) % (2.0 * np.pi) - np.pi
+        assert abs(turn) < 1e-9
+        assert np.max(np.abs(nudged.u_a - plain.u_a)) < 1e-9
+        assert abs(abs(np.trace(dagger(plain.u_b) @ nudged.u_b)) - 2.0) < 1e-9
+
+
 def test_canonical_decompose_grid_matches_closed_forms():
     for p, abs_eta in GRID:
         rho = shared_state(kraus_from_params(plain_params(p, abs_eta)))
