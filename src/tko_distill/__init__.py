@@ -9,62 +9,26 @@ against an exact two-pair density-matrix engine.
 """
 
 from .analysis import (
-    SweepPoint,
-    YieldReport,
-    average_yield,
-    convergence_ratios,
-    fp_branch_operators,
-    locc_fidelity,
-    optimal_fidelity_channel,
-    optimal_fidelity_params,
-    random_locc_check,
-    run_point,
-    sweep_eta,
-    sweep_p,
-    sweep_to_csv,
-    sweep_to_json,
+    SweepPoint, YieldReport, average_yield, convergence_ratios, fp_branch_operators,
+    locc_fidelity, optimal_fidelity_channel, optimal_fidelity_params, random_locc_check,
+    run_point, sweep_eta, sweep_p, sweep_to_csv, sweep_to_json,
 )
 from .channel import (
-    CanonicalChannelParams,
-    ChannelValidation,
-    KrausPair,
-    canonical_params_from_json,
-    canonicalize,
-    channel_from_json,
-    channel_to_json,
-    choi,
-    kraus_from_params,
-    params_to_json,
-    remix,
-    validate,
+    CanonicalChannelParams, ChannelValidation, KrausPair, canonical_params_from_json,
+    canonicalize, channel_from_json, channel_to_json, choi, kraus_from_params,
+    params_to_json, remix, validate,
 )
 from .distill import (
-    DistillationTrace,
-    Policy,
-    RoundRecord,
-    bbpssw_initial_fidelity,
-    bbpssw_step,
-    bbpssw_trace,
-    recurrence_analytic,
-    recurrence_step,
-    round_exact,
-    rssp_analytic,
-    rssp_apply,
-    rssp_ops,
-    run,
+    DistillationTrace, Policy, RoundRecord, bbpssw_initial_fidelity, bbpssw_step,
+    bbpssw_trace, recurrence_analytic, recurrence_step, round_exact, rssp_analytic,
+    rssp_apply, rssp_ops, run,
 )
 from .errors import (
-    DegenerateProtocolError,
-    DomainError,
-    EntanglementDestroyedError,
-    NonDistillableError,
-    SingleKrausChannelError,
+    DegenerateProtocolError, DomainError, EntanglementDestroyedError,
+    NonDistillableError, SingleKrausChannelError,
 )
 from .state import (
-    CanonicalStateParams,
-    canonical_decompose,
-    params_analytic,
-    shared_state,
+    CanonicalStateParams, canonical_decompose, params_analytic, shared_state,
     verify_canonical,
 )
 

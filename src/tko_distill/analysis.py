@@ -3,7 +3,9 @@ checks, and parameter sweeps over families of two-Kraus channels.
 
 The functions here consume the traces produced by :mod:`tko_distill.distill`
 and the canonical parameters from :mod:`tko_distill.state` / ``channel``.
-Sweeps run their (channel, policy) cells one after another, in grid order.
+A sweep checks its grid once, runs each policy's cells as one column stack
+through the round loop of :mod:`tko_distill.distill`, and returns its points
+in grid order.
 """
 
 from __future__ import annotations
@@ -17,20 +19,12 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .channel import CanonicalChannelParams
-from .distill import DistillationTrace, Policy, rssp_ops, run
-from .errors import DomainError
-from .linalg import ID2, kron
+from .distill import DistillationTrace, Policy, _check_budget, _columns, rssp_ops
+from .linalg import ATOL, ID2, kron
 from .state import CanonicalStateParams
 
-CNOT = np.array(
-    [
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 1],
-        [0, 0, 1, 0],
-    ],
-    dtype=complex,
-)
+# CNOT on two qubits, control first: the permutation |ab> -> |a, a xor b>.
+CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +212,14 @@ class YieldReport:
     average_yield: float
 
 
+def _interpolate(f_th, f_lo, f_hi, y_lo, y_hi):
+    """Yield at the threshold, linear in fidelity between rounds K-1 and K, elementwise;
+    the yield at K where the fidelity does not rise between them (K = 0 among those)."""
+    gap = f_hi - f_lo
+    weight = (f_th - f_lo) / np.where(gap > 0.0, gap, 1.0)
+    return np.where(gap > 0.0, (1.0 - weight) * y_lo + weight * y_hi, y_hi)
+
+
 def average_yield(trace: DistillationTrace) -> YieldReport:
     """Interpolated yield of a successful trace at its threshold.
 
@@ -228,21 +230,10 @@ def average_yield(trace: DistillationTrace) -> YieldReport:
     if not trace.reached:
         raise ValueError("trace did not reach its fidelity threshold")
     records = trace.records
-    k = next(
-        i for i, rec in enumerate(records) if rec.fidelity >= trace.threshold
-    )
-    if k == 0:
-        y0 = records[0].cumulative_yield
-        return YieldReport(trace.policy, trace.threshold, 0, y0, y0, y0)
-    f_hi = records[k].fidelity
-    f_lo = records[k - 1].fidelity
-    y_hi = records[k].cumulative_yield
-    y_lo = records[k - 1].cumulative_yield
-    if f_hi - f_lo <= 0.0:
-        avg = y_hi
-    else:
-        weight = (trace.threshold - f_lo) / (f_hi - f_lo)
-        avg = (1.0 - weight) * y_lo + weight * y_hi
+    k = next(i for i, rec in enumerate(records) if rec.fidelity >= trace.threshold)
+    lo, hi = records[max(k - 1, 0)], records[k]
+    y_lo, y_hi = lo.cumulative_yield, hi.cumulative_yield
+    avg = float(_interpolate(trace.threshold, lo.fidelity, hi.fidelity, y_lo, y_hi))
     return YieldReport(trace.policy, trace.threshold, k, y_hi, y_lo, avg)
 
 
@@ -293,15 +284,7 @@ class SweepPoint:
     error: str | None
 
 
-SWEEP_COLUMNS = (
-    "p",
-    "abs_eta",
-    "policy",
-    "rounds",
-    "reached",
-    "fidelity_final",
-    "yield_avg",
-)
+SWEEP_COLUMNS = ("p", "abs_eta", "policy", "rounds", "reached", "fidelity_final", "yield_avg")
 
 
 def _channel_for(p: float, abs_eta: float) -> CanonicalChannelParams:
@@ -312,71 +295,69 @@ def _channel_for(p: float, abs_eta: float) -> CanonicalChannelParams:
     return CanonicalChannelParams(p=p, eta=complex(abs_eta), zeta=zeta)
 
 
+def _policy_points(policy, p_values, eta_values, p, abs_eta, f_th, max_rounds) -> list[SweepPoint]:
+    """One policy's cells as one column stack, returned as sweep points of Python scalars."""
+    hist, rounds, errors = _columns(policy, p, abs_eta, f_th, max_rounds)
+    lo, hi = hist[:, np.maximum(rounds - 1, 0), np.arange(len(rounds))], hist[:, -1]
+    avg = _interpolate(f_th, lo[0], hi[0], lo[2], hi[2])
+    f_th, points = float(f_th), []
+    cells = zip(rounds.tolist(), hi[0].tolist(), lo[2].tolist(), hi[2].tolist(), avg.tolist())
+    for i, (p, abs_eta, (k, f, y_lo, y_hi, y)) in enumerate(zip(p_values, eta_values, cells)):
+        if i in errors:
+            points.append(SweepPoint(p, abs_eta, policy, False, None, None, None, str(errors[i])))
+        else:
+            report = YieldReport(policy, f_th, k, y_hi, y_lo, y) if f >= f_th else None
+            points.append(SweepPoint(p, abs_eta, policy, f >= f_th, k, f, report, None))
+    return points
+
+
+def _sweep(p_values: list, eta_values: list, policies, f_th, max_rounds) -> list[SweepPoint]:
+    """Cells (p, |eta|) x policies in grid order; a domain failure folds into its cell.
+
+    The first cell that ``_channel_for`` refuses raises its ValueError; then
+    each policy runs all its cells as one column stack.
+    """
+    policies = list(policies)
+    if not p_values or not policies:
+        return []
+    p, abs_eta = np.array(p_values, dtype=float), np.array(eta_values, dtype=float)
+    bad = ~((abs_eta >= 0.0) & (abs_eta <= 1.0) & (p >= -ATOL) & (p <= 1.0 + ATOL))
+    if bad.any():
+        i = int(np.argmax(bad))
+        _channel_for(p_values[i], eta_values[i])
+    policies = [Policy(pol) for pol in policies]
+    _check_budget(f_th, max_rounds)
+    cells = (p_values, eta_values, np.clip(p, 0.0, 1.0), abs_eta, f_th, max_rounds)
+    columns = [_policy_points(pol, *cells) for pol in policies]
+    return [pt for cell in zip(*columns) for pt in cell]
+
+
 def run_point(
-    p: float,
-    abs_eta: float,
-    policy: Policy,
-    f_th: float = 0.99,
-    max_rounds: int = 64,
+    p: float, abs_eta: float, policy: Policy, f_th: float = 0.99, max_rounds: int = 64
 ) -> SweepPoint:
-    """Run one policy on one channel, folding failures into the result."""
-    try:
-        trace = run(_channel_for(p, abs_eta), policy, f_th=f_th, max_rounds=max_rounds)
-    except DomainError as exc:
-        return SweepPoint(
-            p=p,
-            abs_eta=abs_eta,
-            policy=policy,
-            reached=False,
-            rounds=None,
-            fidelity_final=None,
-            report=None,
-            error=str(exc),
-        )
-    report = average_yield(trace) if trace.reached else None
-    return SweepPoint(
-        p=p,
-        abs_eta=abs_eta,
-        policy=policy,
-        reached=trace.reached,
-        rounds=trace.rounds,
-        fidelity_final=trace.final_fidelity,
-        report=report,
-        error=None,
-    )
+    """Run one policy on one channel, folding failures into the result: a one-cell sweep."""
+    return _sweep([p], [abs_eta], [policy], f_th, max_rounds)[0]
 
 
 _ALL_POLICIES = (Policy.FP, Policy.PP, Policy.QPA, Policy.BBPSSW)
 
 
 def sweep_p(
-    abs_eta: float,
-    p_values: Iterable[float],
-    f_th: float = 0.99,
-    policies: Sequence[Policy] = _ALL_POLICIES,
-    max_rounds: int = 64,
+    abs_eta: float, p_values: Iterable[float], f_th: float = 0.99,
+    policies: Sequence[Policy] = _ALL_POLICIES, max_rounds: int = 64,
 ) -> list[SweepPoint]:
     """Sweep the noise severity at fixed channel type ``|eta|``."""
-    return [
-        run_point(p, abs_eta, pol, f_th=f_th, max_rounds=max_rounds)
-        for p in p_values
-        for pol in policies
-    ]
+    p_values = list(p_values)
+    return _sweep(p_values, [abs_eta] * len(p_values), policies, f_th, max_rounds)
 
 
 def sweep_eta(
-    p: float,
-    eta_values: Iterable[float],
-    f_th: float = 0.99,
-    policies: Sequence[Policy] = _ALL_POLICIES,
-    max_rounds: int = 64,
+    p: float, eta_values: Iterable[float], f_th: float = 0.99,
+    policies: Sequence[Policy] = _ALL_POLICIES, max_rounds: int = 64,
 ) -> list[SweepPoint]:
     """Sweep the channel type ``|eta|`` at fixed noise severity ``p``."""
-    return [
-        run_point(p, abs_eta, pol, f_th=f_th, max_rounds=max_rounds)
-        for abs_eta in eta_values
-        for pol in policies
-    ]
+    eta_values = list(eta_values)
+    return _sweep([p] * len(eta_values), eta_values, policies, f_th, max_rounds)
 
 
 def _cell(value) -> str:
@@ -386,20 +367,6 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return repr(float(value)) if isinstance(value, float) else str(value)
-
-
-def sweep_row(point: SweepPoint) -> dict[str, object]:
-    """Flatten one sweep point into the normative column set."""
-    yield_avg = point.report.average_yield if point.report is not None else None
-    return {
-        "p": point.p,
-        "abs_eta": point.abs_eta,
-        "policy": point.policy.value,
-        "rounds": point.rounds,
-        "reached": point.reached,
-        "fidelity_final": point.fidelity_final,
-        "yield_avg": yield_avg,
-    }
 
 
 def _write_table(
@@ -421,7 +388,12 @@ def _write_table(
 
 
 def _sweep_rows(points: Sequence[SweepPoint]) -> list[list]:
-    return [[row[col] for col in SWEEP_COLUMNS] for row in map(sweep_row, points)]
+    """Each point flattened into the normative columns, SWEEP_COLUMNS."""
+    return [
+        [pt.p, pt.abs_eta, pt.policy.value, pt.rounds, pt.reached, pt.fidelity_final,
+         None if pt.report is None else pt.report.average_yield]
+        for pt in points
+    ]
 
 
 def sweep_to_csv(points: Sequence[SweepPoint], stream: TextIO) -> None:

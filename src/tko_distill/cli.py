@@ -150,18 +150,12 @@ def _cmd_state(args) -> int:
 
 def _traces_disagree(a: DistillationTrace, b: DistillationTrace) -> str | None:
     if len(a.records) != len(b.records):
-        return f"round counts differ: {len(a.records) - 1} vs {len(b.records) - 1}"
+        return f"round counts differ: {a.rounds} vs {b.rounds}"
     for ra, rb in zip(a.records, b.records):
-        if abs(ra.fidelity - rb.fidelity) > _CHECK_TOL:
-            return (
-                f"round {ra.round_index} fidelity differs by "
-                f"{abs(ra.fidelity - rb.fidelity):.3e}"
-            )
-        if abs(ra.keep_prob - rb.keep_prob) > _CHECK_TOL:
-            return (
-                f"round {ra.round_index} keep probability differs by "
-                f"{abs(ra.keep_prob - rb.keep_prob):.3e}"
-            )
+        for field, noun in (("fidelity", "fidelity"), ("keep_prob", "keep probability")):
+            gap = abs(getattr(ra, field) - getattr(rb, field))
+            if gap > _CHECK_TOL:
+                return f"round {ra.round_index} {noun} differs by {gap:.3e}"
     return None
 
 
@@ -280,20 +274,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="tko-distill", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    sp = sub.add_parser("validate", help="check a Kraus pair for completeness")
-    _add_channel_args(sp)
-    _add_format_arg(sp, "json")
-    sp.set_defaults(func=_cmd_validate)
-
-    sp = sub.add_parser("canonicalize", help="canonical channel parameters")
-    _add_channel_args(sp)
-    _add_format_arg(sp, "json")
-    sp.set_defaults(func=_cmd_canonicalize)
-
-    sp = sub.add_parser("state", help="canonical shared-state decomposition")
-    _add_channel_args(sp)
-    _add_format_arg(sp, "json")
-    sp.set_defaults(func=_cmd_state)
+    for name, text, func in (
+        ("validate", "check a Kraus pair for completeness", _cmd_validate),
+        ("canonicalize", "canonical channel parameters", _cmd_canonicalize),
+        ("state", "canonical shared-state decomposition", _cmd_state),
+    ):
+        sp = sub.add_parser(name, help=text)
+        _add_channel_args(sp)
+        _add_format_arg(sp, "json")
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("distill", help="run one distillation policy")
     _add_channel_args(sp)

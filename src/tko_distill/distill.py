@@ -4,7 +4,8 @@ Two independent execution paths are provided on purpose.  The analytic path
 iterates the closed-form fidelity/probability recurrences; the exact path
 carries the pair's 4x4 density matrix through each bilateral-CNOT round and
 post-selects on the target-pair outcomes.  Tests hold the two paths against
-each other at every round.
+each other at every round.  Both advance a column of cells at once: one
+masked round loop serves a whole sweep, and ``run`` is its one-cell case.
 
 Pair states are indexed |ab> = 2a+b, Alice's qubit first.  In a round the
 first copy is the source (kept) pair and the second the target (measured)
@@ -21,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from .channel import CanonicalChannelParams, check_noise_severity, kraus_from_params
-from .errors import DegenerateProtocolError, NonDistillableError
+from .errors import DegenerateProtocolError, EntanglementDestroyedError, NonDistillableError
 from .linalg import HADAMARD, ID2, PHI_PLUS, dagger, pure_fidelity
 from .state import CanonicalStateParams, canonical_decompose, params_analytic, shared_state
 
@@ -126,44 +127,70 @@ def rssp_apply(rho_canonical: np.ndarray, params: CanonicalStateParams) -> tuple
 def rssp_analytic(
     f0: float, alpha: float, beta: float, gamma: float, delta: float
 ) -> tuple[float, float, float, float]:
-    """Closed forms for the filter stage: (P_s, F~, gamma~, delta~)."""
+    """Closed forms for the filter stage: (P_s, F~, gamma~, delta~).
+
+    P_s is capped at 1: where alpha = beta it is 1, and 2 beta^2 with
+    beta = sqrt(1/2) rounds to just above it.
+    """
     p_s = 2.0 * f0 * beta**2 + (1.0 - f0) * (gamma**2 + (beta * delta / alpha) ** 2)
     odd = alpha**2 * gamma**2 + beta**2 * delta**2
     denom = 2.0 * f0 * alpha**2 * beta**2 + (1.0 - f0) * odd
     f_t = 2.0 * f0 * alpha**2 * beta**2 / denom
     root = np.sqrt(odd)
-    return p_s, f_t, alpha * gamma / root, beta * delta / root
+    return np.minimum(p_s, 1.0), f_t, alpha * gamma / root, beta * delta / root
 
 
 # ---------------------------------------------------------------------------
-# Exact two-pair round
+# Exact two-pair round, on one 4x4 state or an (n, 4, 4) stack
+
+_NO_POPULATION = "kept measurement branches have no population"
 
 
 def _branch_block(rho: np.ndarray, flip: np.ndarray) -> np.ndarray:
     """Unnormalized kept-pair block of one outcome: rho[i, i'] rho[i ^ m, i' ^ m]."""
-    return rho * rho[np.ix_(flip, flip)]
+    return rho * rho[..., flip, :][..., flip]
+
+
+def _round_stack(rho: np.ndarray, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
+    """Branch probability and normalized kept pair of each state of an (n, 4, 4) stack.
+
+    FP keeps only the (1,1) branch; PP and QPA keep the two agreeing branches.
+    """
+    keys = [(1, 1)] if policy is Policy.FP else [(0, 0), (1, 1)]
+    kept = sum(_branch_block(rho, _FLIPS[k]) for k in keys)
+    prob = np.trace(kept, axis1=1, axis2=2).real
+    return prob, kept / np.maximum(prob, 1e-15)[:, None, None]
 
 
 def round_exact(pair_state: np.ndarray, policy: Policy) -> tuple[float, np.ndarray]:
     """One exact distillation round consuming two copies of pair_state.
 
-    FP keeps only the (1,1) branch; PP and QPA keep the two agreeing
-    branches, mixed by their probabilities.  Returns the keep probability
-    per input pair (branch probability / 2) and the normalized post state.
+    Returns the keep probability per input pair (branch probability / 2)
+    and the normalized post state.
     """
     if policy not in (Policy.FP, Policy.PP, Policy.QPA):
         raise ValueError(f"no operator-level round for policy {policy}")
-    rho = np.asarray(pair_state, dtype=complex)
-    keys = [(1, 1)] if policy is Policy.FP else [(0, 0), (1, 1)]
-    kept = sum(_branch_block(rho, _FLIPS[k]) for k in keys)
-    prob = float(np.real(np.trace(kept)))
-    if prob <= 1e-15:
-        raise DegenerateProtocolError("kept measurement branches have no population")
-    return prob / 2.0, kept / prob
+    prob, kept = _round_stack(np.asarray(pair_state, dtype=complex)[None], policy)
+    if prob[0] <= 1e-15:
+        raise DegenerateProtocolError(_NO_POPULATION)
+    return float(prob[0]) / 2.0, kept[0]
+
+
+def _canonical_states(p: np.ndarray, abs_eta: np.ndarray) -> np.ndarray:
+    """``choi`` of the canonical channels (p, |eta|), u = v = I, as an (n, 4, 4) stack.
+
+    vecs[:, k, 2a + b] = C_k[b, a]; each entry is rounded as ``choi`` rounds it.
+    """
+    vecs = np.zeros((len(p), 2, 4))
+    vecs[:, 0, 0] = 1.0
+    vecs[:, 0, 3] = np.sqrt(1.0 - p)
+    vecs[:, 1, 2:] = np.sqrt(p)[:, None] * np.stack([abs_eta, np.sqrt(1.0 - abs_eta**2)], 1)
+    weighted = vecs * PHI_PLUS[0].real ** 2
+    return (weighted[:, :, :, None] * vecs[:, :, None, :]).sum(axis=1).astype(complex)
 
 
 # ---------------------------------------------------------------------------
-# Closed-form recurrences
+# Closed-form recurrences; each works on floats and, elementwise, on arrays
 
 
 def recurrence_step(f: float) -> tuple[float, float]:
@@ -191,7 +218,7 @@ def first_round_rates(
 
 def bbpssw_step(f: float) -> tuple[float, float]:
     """Werner-state recursion: next fidelity and two-pair success probability."""
-    if f <= 0.5:
+    if (np.asarray(f) <= 0.5).any():
         raise NonDistillableError(f"Werner fidelity {f} at or below 1/2 cannot be distilled")
     p_succ = f * f + (2.0 / 3.0) * f * (1.0 - f) + (5.0 / 9.0) * (1.0 - f) ** 2
     f_next = (f * f + (1.0 - f) ** 2 / 9.0) / p_succ
@@ -199,87 +226,135 @@ def bbpssw_step(f: float) -> tuple[float, float]:
 
 
 def bbpssw_initial_fidelity(f: float, alpha: float, beta: float) -> float:
-    """Overlap of the canonical mixture with |Phi+> (the Werner fidelity used)."""
-    return f * (alpha + beta) ** 2 / 2.0
+    """Overlap of the canonical mixture with |Phi+> (the Werner fidelity used).
+
+    Capped at 1: at p = 0, (alpha + beta)^2 / 2 rounds to just above 1.
+    """
+    return np.minimum(f * (alpha + beta) ** 2 / 2.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
-# The round loop
+# The round loop, on a column of cells
 
 
-def _iterate(
-    policy: Policy, engine: str, f0: float, keep0: float, step, f_th: float, max_rounds: int
-) -> DistillationTrace:
-    """Run rounds from the prepared state until a stop rule fires.
+def _iterate(f0, keep0, step, f_th: float, max_rounds: int, plateau: bool = False):
+    """Run rounds on a column of n cells until each cell's stop rule fires.
 
-    ``step(k, f)`` performs round k on a pair of fidelity f and returns
-    (next fidelity, keep probability per input pair).  The loop stops at the
-    threshold, at the round budget, or, for QPA, at a fixed point below the
-    threshold, where further rounds cannot change anything.
+    ``step(k, f)`` returns every cell's next fidelity and keep probability
+    per input pair in round k; only running cells keep them.  A cell stops at
+    the threshold, at the round budget, at a NaN fidelity (refused, or its
+    kept branches vanished) or, with ``plateau`` (QPA), at a fixed point.
+    Returns the (3, rounds + 1, n) history of fidelity, keep probability and
+    cumulative yield, a stopped cell repeating its last row, and the rounds.
     """
-    records = [RoundRecord(0, f0, keep0, keep0)]
-    f, cumulative, k = f0, keep0, 0
-    while f < f_th and k < max_rounds:
-        k += 1
-        f_prev = f
-        f, keep = step(k, f)
-        cumulative *= keep
-        records.append(RoundRecord(k, f, keep, cumulative))
-        if policy is Policy.QPA and abs(f - f_prev) < 1e-12:
-            break
-    return DistillationTrace(policy, f_th, f >= f_th, tuple(records), engine)
+    rows = [np.array([f0, keep0, keep0])]
+    rounds = np.zeros(len(f0), dtype=int)
+    active = f0 < f_th
+    while len(rows) <= max_rounds and active.any():
+        prev = rows[-1]
+        f, keep = step(len(rows), prev[0])
+        rows.append(np.where(active, (f, keep, prev[2] * keep), prev))
+        rounds += active
+        stop = ~(f < f_th)
+        if plateau:
+            stop |= np.abs(f - prev[0]) < 1e-12
+        active &= ~stop
+    return np.swapaxes(np.array(rows), 0, 1), rounds
+
+
+def _refuse(bad, error: type, text: str, values=None) -> dict:
+    """``error(text.format(values[i]))`` for each cell i where ``bad`` holds."""
+    values = bad if values is None else values
+    return {i: error(text.format(values[i])) for i in np.flatnonzero(bad).tolist()}
+
+
+def _recurrence_column(policy, f0, alpha, beta, gamma, delta, f_th, max_rounds):
+    """FP/PP on a column: filter stage, closed-form round 1, then the recursion."""
+    text = "fidelity weight {} at or below 1/2 cannot be distilled"
+    errors = _refuse(f0 <= 0.5, NonDistillableError, text, f0)
+    p_s, f_t, g_t, d_t = rssp_analytic(np.where(f0 <= 0.5, np.nan, f0), alpha, beta, gamma, delta)
+    p_branch, f1 = first_round_rates(f_t, g_t, d_t, policy)
+
+    def step(k, f):
+        return recurrence_step(f) if k > 1 else (f1, p_branch / 2.0)
+
+    return (*_iterate(f_t, p_s, step, f_th, max_rounds), errors)
+
+
+def _bbpssw_column(f_init, f_th, max_rounds):
+    """The Werner recursion on a column of initial fidelities."""
+    text = "Werner fidelity {:.6f} at or below 1/2 cannot be distilled"
+    errors = _refuse(f_init <= 0.5, NonDistillableError, text, f_init)
+
+    def step(k, f):
+        f_next, p_succ = bbpssw_step(f)
+        return f_next, p_succ / 2.0
+
+    f = np.where(f_init <= 0.5, np.nan, f_init)
+    return (*_iterate(f, np.ones(len(f)), step, f_th, max_rounds), errors)
+
+
+def _exact_column(policy, state, keep0, f_th, max_rounds):
+    """Exact rounds on a stack of prepared states: the policy's rule first, PP's after."""
+
+    def step(k, f):
+        prob, state[:] = _round_stack(state, policy if k == 1 else Policy.PP)
+        return np.where(prob > 1e-15, pure_fidelity(state, PHI_PLUS), np.nan), prob / 2.0
+
+    f0 = pure_fidelity(state, PHI_PLUS)
+    hist, rounds = _iterate(f0, keep0, step, f_th, max_rounds, plateau=policy is Policy.QPA)
+    return hist, rounds, _refuse(np.isnan(hist[0, -1]), DegenerateProtocolError, _NO_POPULATION)
+
+
+def _qpa_column(rho, f_th, max_rounds):
+    """QPA on an (n, 4, 4) stack of shared states: Hadamards on both sides first."""
+    prep = np.kron(HADAMARD, HADAMARD)
+    return _exact_column(Policy.QPA, prep @ rho @ dagger(prep), np.ones(len(rho)), f_th, max_rounds)
+
+
+def _columns(policy: Policy, p, abs_eta, f_th: float, max_rounds: int):
+    """``policy`` on its default engine for the canonical channels (p, |eta|) in [0, 1]."""
+    dead = p >= 1.0
+    q = np.where(dead, 0.0, p)  # a placeholder for the cells refused below
+    if policy is Policy.QPA:
+        cells = _qpa_column(_canonical_states(q, abs_eta), f_th, max_rounds)
+    else:
+        # u, v and the phase of eta act locally, so the closed forms in
+        # (p, |eta|) carry everything the analytic recurrences need.
+        f0, alpha, beta, gamma, delta = params_analytic(q, abs_eta)
+        if policy is Policy.BBPSSW:
+            cells = _bbpssw_column(bbpssw_initial_fidelity(f0, alpha, beta), f_th, max_rounds)
+        else:
+            cells = _recurrence_column(policy, f0, alpha, beta, gamma, delta, f_th, max_rounds)
+    text = "p={} leaves no entanglement to distill"
+    cells[2].update(_refuse(dead, EntanglementDestroyedError, text, p))
+    return cells
+
+
+def _one_cell(policy: Policy, engine: str, f_th: float, hist, rounds, errors) -> DistillationTrace:
+    """The trace of a one-cell column, or its domain error raised."""
+    if errors:
+        raise errors[0]
+    records = tuple(RoundRecord(k, *hist[:, k, 0]) for k in range(rounds[0] + 1))
+    return DistillationTrace(policy, f_th, hist[0, -1, 0] >= f_th, records, engine)
 
 
 def recurrence_analytic(
-    f0: float,
-    alpha: float,
-    beta: float,
-    gamma: float,
-    delta: float,
-    policy: Policy,
-    f_th: float = 0.99,
-    max_rounds: int = 64,
+    f0: float, alpha: float, beta: float, gamma: float, delta: float,
+    policy: Policy, f_th: float = 0.99, max_rounds: int = 64,
 ) -> DistillationTrace:
     """Analytic FP/PP trace: filter stage, closed-form round 1, then recursion."""
     policy = Policy(policy)
     if policy not in (Policy.FP, Policy.PP):
         raise ValueError("analytic recurrences exist only for FP and PP")
-    if f0 <= 0.5:
-        raise NonDistillableError(f"fidelity weight {f0} at or below 1/2 cannot be distilled")
-    p_s, f_t, g_t, d_t = rssp_analytic(f0, alpha, beta, gamma, delta)
-
-    def step(k: int, f: float) -> tuple[float, float]:
-        if k > 1:
-            return recurrence_step(f)
-        p_branch, f1 = first_round_rates(f_t, g_t, d_t, policy)
-        return f1, p_branch / 2.0
-
-    return _iterate(policy, "analytic", f_t, p_s, step, f_th, max_rounds)
+    cell = np.array([[f0], [alpha], [beta], [gamma], [delta]], dtype=float)
+    return _one_cell(policy, "analytic", f_th, *_recurrence_column(policy, *cell, f_th, max_rounds))
 
 
 def bbpssw_trace(f_init: float, f_th: float = 0.99, max_rounds: int = 64) -> DistillationTrace:
     """BBPSSW trace from an initial Werner fidelity."""
-    if f_init <= 0.5:
-        raise NonDistillableError(
-            f"Werner fidelity {f_init:.6f} at or below 1/2 cannot be distilled"
-        )
-
-    def step(k: int, f: float) -> tuple[float, float]:
-        f_next, p_succ = bbpssw_step(f)
-        return f_next, p_succ / 2.0
-
-    return _iterate(Policy.BBPSSW, "analytic", f_init, 1.0, step, f_th, max_rounds)
-
-
-def _exact_step(state: np.ndarray, policy: Policy):
-    """Round step on the 4x4 state: the policy's own rule in round 1, PP's after."""
-
-    def step(k: int, f: float) -> tuple[float, float]:
-        nonlocal state
-        keep, state = round_exact(state, policy if k == 1 else Policy.PP)
-        return pure_fidelity(state, PHI_PLUS), keep
-
-    return step
+    cell = _bbpssw_column(np.array([f_init], dtype=float), f_th, max_rounds)
+    return _one_cell(Policy.BBPSSW, "analytic", f_th, *cell)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +362,7 @@ def _exact_step(state: np.ndarray, policy: Policy):
 
 # Engines each policy runs on, its default first.  QPA has no closed-form
 # recurrence that preserves its state structure, and BBPSSW's Werner twirl
-# has no operator-level round.
+# has no operator-level round.  Sweeps run every policy on its default.
 _ENGINES = {
     Policy.FP: ("analytic", "exact"),
     Policy.PP: ("analytic", "exact"),
@@ -297,6 +372,13 @@ _ENGINES = {
 _ENGINE_NOUN = {"analytic": "analytic recurrence", "exact": "exact round"}
 
 
+def _check_budget(f_th: float, max_rounds: int) -> None:
+    if not 0.5 < f_th <= 1.0:
+        raise ValueError("threshold fidelity must lie in (1/2, 1]")
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be at least 1")
+
+
 def run(
     channel: CanonicalChannelParams,
     policy: Policy | str,
@@ -304,7 +386,7 @@ def run(
     max_rounds: int = 64,
     engine: str | None = None,
 ) -> DistillationTrace:
-    """Run a full distillation pipeline for a canonical channel.
+    """Run a full distillation pipeline for a canonical channel: a one-cell column.
 
     Parameters
     ----------
@@ -325,10 +407,7 @@ def run(
         for the other engine raises ValueError.
     """
     policy = Policy(policy)
-    if not 0.5 < f_th <= 1.0:
-        raise ValueError("threshold fidelity must lie in (1/2, 1]")
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be at least 1")
+    _check_budget(f_th, max_rounds)
     check_noise_severity(channel.p)
     if engine not in (None, "analytic", "exact"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -336,25 +415,17 @@ def run(
     if engine is None:
         engine = allowed[0]
     elif engine not in allowed:
-        raise ValueError(
-            f"{policy.name} has no {_ENGINE_NOUN[engine]}; use the {allowed[0]} engine"
-        )
+        noun = _ENGINE_NOUN[engine]
+        raise ValueError(f"{policy.name} has no {noun}; use the {allowed[0]} engine")
 
     if engine == "analytic":
-        # u, v and the phase of eta act locally, so the closed forms in
-        # (p, |eta|) carry everything the analytic recurrences need.
-        f0, alpha, beta, gamma, delta = params_analytic(channel.p, channel.abs_eta)
-        if policy is Policy.BBPSSW:
-            return bbpssw_trace(bbpssw_initial_fidelity(f0, alpha, beta), f_th, max_rounds)
-        return recurrence_analytic(f0, alpha, beta, gamma, delta, policy, f_th, max_rounds)
-
-    rho = shared_state(kraus_from_params(channel))
-    if policy is Policy.QPA:
-        prep = np.kron(HADAMARD, HADAMARD)
-        keep0, state = 1.0, prep @ rho @ dagger(prep)
+        cell = _columns(policy, *np.array([[channel.p], [channel.abs_eta]]), f_th, max_rounds)
+    elif policy is Policy.QPA:
+        cell = _qpa_column(shared_state(kraus_from_params(channel))[None], f_th, max_rounds)
     else:
+        rho = shared_state(kraus_from_params(channel))
         params = canonical_decompose(rho)
         rot = np.kron(params.u_a, params.u_b)
         keep0, state = rssp_apply(rot @ rho @ dagger(rot), params)
-    f0 = pure_fidelity(state, PHI_PLUS)
-    return _iterate(policy, "exact", f0, keep0, _exact_step(state, policy), f_th, max_rounds)
+        cell = _exact_column(policy, state[None], np.array([keep0]), f_th, max_rounds)
+    return _one_cell(policy, engine, f_th, *cell)

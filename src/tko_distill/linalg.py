@@ -37,9 +37,11 @@ def projector(ket: np.ndarray) -> np.ndarray:
 
 
 def pure_fidelity(rho: np.ndarray, ket: np.ndarray) -> float:
-    """Overlap <ket|rho|ket> as a real number."""
+    """Overlap <ket|rho|ket> as a real number, or one per state of a stack.
+
+    One (1, d) @ (d, 1) product per state: in a stack it rounds as it does alone."""
     ket = np.asarray(ket, dtype=complex).reshape(-1)
-    return float(np.real(ket.conj() @ rho @ ket))
+    return np.real((ket.conj() @ rho)[..., None, :] @ ket[:, None])[..., 0, 0]
 
 
 def is_hermitian(m: np.ndarray) -> bool:

@@ -103,19 +103,20 @@ def params_analytic(p: float, abs_eta: float) -> tuple[float, float, float, floa
     """Closed-form (F, alpha, beta, gamma, delta) for a canonical channel.
 
     p = 0 returns the noiseless convention F = 1, all weights 1/sqrt2.
+    Scalars are checked and give floats; arrays of (p, |eta|) already in
+    [0, 1) x [0, 1] give arrays, elementwise.
     """
-    p = float(p)
-    abs_eta = float(abs_eta)
-    check_noise_severity(p)
-    if not 0.0 <= abs_eta <= 1.0 + ATOL:
-        raise ValueError("|eta| must lie in [0, 1]")
+    if np.ndim(p) == 0:
+        p, abs_eta = float(p), float(abs_eta)
+        check_noise_severity(p)
+        if not 0.0 <= abs_eta <= 1.0 + ATOL:
+            raise ValueError("|eta| must lie in [0, 1]")
+        return tuple(float(x[0]) for x in params_analytic(np.array([p]), np.array([abs_eta])))
     root = np.sqrt((1.0 - p) * (1.0 - abs_eta**2 * p))
     f = 0.5 + 0.5 * root
-    half = np.sqrt(0.5)
-    if f >= 1.0 - 1e-15:
-        return 1.0, half, half, half, half
+    noiseless = f >= 1.0 - 1e-15
     alpha = np.sqrt(0.5 + abs_eta * p / (4.0 * f))
-    beta = np.sqrt(max(0.5 - abs_eta * p / (4.0 * f), 0.0))
+    beta = np.sqrt(np.maximum(0.5 - abs_eta * p / (4.0 * f), 0.0))
     # gamma^2 = 1/2 - |eta| p / (4(1-f)) vanishes identically at |eta| = 1, but
     # the direct difference of two half-sized terms leaves rounding residue
     # that the square root amplifies to ~1e-8.  Using
@@ -123,10 +124,9 @@ def params_analytic(p: float, abs_eta: float) -> tuple[float, float, float, floa
     # the difference rewrites cancellation-free as c / ((s + root) 4(1-f)).
     c = p * (1.0 - abs_eta) ** 2
     s = 1.0 - abs_eta * p
-    gamma2 = min(max(c / ((s + root) * 4.0 * (1.0 - f)), 0.0), 0.5)
-    gamma = np.sqrt(gamma2)
-    delta = np.sqrt(1.0 - gamma2)
-    return float(f), float(alpha), float(beta), float(gamma), float(delta)
+    gamma2 = np.clip(c / ((s + root) * 4.0 * np.where(noiseless, 1.0, 1.0 - f)), 0.0, 0.5)
+    weights = (alpha, beta, np.sqrt(gamma2), np.sqrt(1.0 - gamma2))
+    return (np.where(noiseless, 1.0, f), *(np.where(noiseless, np.sqrt(0.5), w) for w in weights))
 
 
 def _bloch_spinor(axis: np.ndarray) -> np.ndarray:

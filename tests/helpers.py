@@ -1,8 +1,8 @@
 """Shared helpers for the test suite: parameter grids, random channels, the
 round-1 closed-form oracle, the 16x16 two-pair oracle for the exact round, the
-einsum oracle for the random LOCC search, and small tools that only the tests
-use (partial trace, Schmidt reconstruction, branch-by-branch rounds, steering
-operators)."""
+scalar one-cell oracle for the column round loop, the einsum oracle for the
+random LOCC search, and small tools that only the tests use (partial trace,
+Schmidt reconstruction, branch-by-branch rounds, steering operators)."""
 
 from __future__ import annotations
 
@@ -13,14 +13,22 @@ import numpy as np
 from tko_distill import (
     CanonicalChannelParams,
     CanonicalStateParams,
+    DistillationTrace,
+    DomainError,
+    EntanglementDestroyedError,
     KrausPair,
+    NonDistillableError,
     Policy,
+    RoundRecord,
+    canonical_decompose,
     kraus_from_params,
     params_analytic,
     remix,
+    rssp_apply,
+    shared_state,
 )
 from tko_distill.distill import _FLIPS, _branch_block
-from tko_distill.linalg import SchmidtForm
+from tko_distill.linalg import HADAMARD, PHI_PLUS, SchmidtForm, dagger, pure_fidelity
 
 # (p, |eta|) grid: nine noise severities times five channel types running from
 # phase damping (|eta| = 0) to amplitude damping (|eta| = 1).
@@ -156,6 +164,144 @@ def oracle_round(pair_state: np.ndarray, keep) -> tuple[float, np.ndarray]:
     kept = sum(blocks[key] for key in keep)
     prob = float(np.trace(kept).real)
     return prob / 2.0, kept / prob
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracle for the column round loop
+#
+# One cell at a time, as the library ran before its round loop worked on
+# column stacks: the closed forms on Python floats, one Python loop over
+# rounds, and for the exact engine the entrywise round on one 4x4 state
+# (the 16x16 oracle above holds that round itself).  Error classes and texts
+# are the library's.
+
+
+def oracle_params(p: float, abs_eta: float) -> tuple[float, float, float, float, float]:
+    """Closed-form (F, alpha, beta, gamma, delta); p = 0 gives F = 1, weights 1/sqrt2."""
+    root = np.sqrt((1.0 - p) * (1.0 - abs_eta**2 * p))
+    f = 0.5 + 0.5 * root
+    half = np.sqrt(0.5)
+    if f >= 1.0 - 1e-15:
+        return 1.0, half, half, half, half
+    alpha = np.sqrt(0.5 + abs_eta * p / (4.0 * f))
+    beta = np.sqrt(max(0.5 - abs_eta * p / (4.0 * f), 0.0))
+    c = p * (1.0 - abs_eta) ** 2
+    s = 1.0 - abs_eta * p
+    gamma2 = min(max(c / ((s + root) * 4.0 * (1.0 - f)), 0.0), 0.5)
+    return float(f), float(alpha), float(beta), float(np.sqrt(gamma2)), float(np.sqrt(1.0 - gamma2))
+
+
+def _oracle_analytic(policy: Policy, p: float, abs_eta: float):
+    """Prepared fidelity, its keep probability and the round step of a closed-form run."""
+    f0, alpha, beta, gamma, delta = oracle_params(p, abs_eta)
+    if policy is Policy.BBPSSW:
+        f_init = f0 * (alpha + beta) ** 2 / 2.0
+        if f_init <= 0.5:
+            raise NonDistillableError(
+                f"Werner fidelity {f_init:.6f} at or below 1/2 cannot be distilled"
+            )
+
+        def werner(k, f):
+            p_succ = f * f + (2.0 / 3.0) * f * (1.0 - f) + (5.0 / 9.0) * (1.0 - f) ** 2
+            return (f * f + (1.0 - f) ** 2 / 9.0) / p_succ, p_succ / 2.0
+
+        return f_init, 1.0, werner
+    if f0 <= 0.5:
+        raise NonDistillableError(f"fidelity weight {f0} at or below 1/2 cannot be distilled")
+    p_s = 2.0 * f0 * beta**2 + (1.0 - f0) * (gamma**2 + (beta * delta / alpha) ** 2)
+    odd = alpha**2 * gamma**2 + beta**2 * delta**2
+    f_t = 2.0 * f0 * alpha**2 * beta**2 / (2.0 * f0 * alpha**2 * beta**2 + (1.0 - f0) * odd)
+    g_t, d_t = alpha * gamma / np.sqrt(odd), beta * delta / np.sqrt(odd)
+
+    def agreeing(k, f):
+        if k > 1:
+            denom = f * f + (1.0 - f) * (1.0 - f)
+            return f * f / denom, denom / 2.0
+        if policy is Policy.FP:
+            p_branch = 0.5 * f_t**2 + 2.0 * (1.0 - f_t) ** 2 * (g_t * d_t) ** 2
+            return 0.5 * f_t**2 / p_branch, p_branch / 2.0
+        p_branch = f_t**2 + (1.0 - f_t) ** 2
+        return f_t**2 / p_branch, p_branch / 2.0
+
+    return f_t, p_s, agreeing
+
+
+def _oracle_exact(policy: Policy, channel: CanonicalChannelParams):
+    """Prepared fidelity, its keep probability and the 4x4 round step of an exact run."""
+    rho = shared_state(kraus_from_params(channel))
+    if policy is Policy.QPA:
+        prep = np.kron(HADAMARD, HADAMARD)
+        keep0, state = 1.0, prep @ rho @ dagger(prep)
+    else:
+        params = canonical_decompose(rho)
+        rot = np.kron(params.u_a, params.u_b)
+        keep0, state = rssp_apply(rot @ rho @ dagger(rot), params)
+
+    def branch_round(k, f):
+        nonlocal state
+        kept = sum(
+            state * state[np.ix_(flip, flip)]
+            for flip in (np.arange(4) ^ (2 * j + m) for j, m in (FP_KEEP if k == 1 and policy is Policy.FP else PP_KEEP))
+        )
+        prob = float(np.real(np.trace(kept)))
+        state = kept / prob
+        return pure_fidelity(state, PHI_PLUS), prob / 2.0
+
+    return pure_fidelity(state, PHI_PLUS), keep0, branch_round
+
+
+def oracle_trace(
+    channel: CanonicalChannelParams,
+    policy: Policy | str,
+    f_th: float = 0.99,
+    max_rounds: int = 64,
+    engine: str | None = None,
+) -> DistillationTrace:
+    """One cell of ``run``: rounds until the threshold, the budget or, for
+    QPA, a plateau below the threshold."""
+    policy = Policy(policy)
+    if channel.p >= 1.0:
+        raise EntanglementDestroyedError(f"p={channel.p} leaves no entanglement to distill")
+    engine = engine or ("exact" if policy is Policy.QPA else "analytic")
+    if engine == "analytic":
+        f, keep0, step = _oracle_analytic(policy, channel.p, channel.abs_eta)
+    else:
+        f, keep0, step = _oracle_exact(policy, channel)
+    records = [RoundRecord(0, f, keep0, keep0)]
+    cumulative, k = keep0, 0
+    while f < f_th and k < max_rounds:
+        k += 1
+        f_prev = f
+        f, keep = step(k, f)
+        cumulative *= keep
+        records.append(RoundRecord(k, f, keep, cumulative))
+        if policy is Policy.QPA and abs(f - f_prev) < 1e-12:
+            break
+    return DistillationTrace(policy, f_th, f >= f_th, tuple(records), engine)
+
+
+def oracle_yield(trace: DistillationTrace) -> tuple[int, float, float, float]:
+    """(K, yield at K, yield at K - 1, interpolated yield) of a trace that reached."""
+    records = trace.records
+    k = next(i for i, rec in enumerate(records) if rec.fidelity >= trace.threshold)
+    hi, lo = records[k], records[max(k - 1, 0)]
+    if hi.fidelity - lo.fidelity <= 0.0:
+        return k, hi.cumulative_yield, lo.cumulative_yield, hi.cumulative_yield
+    weight = (trace.threshold - lo.fidelity) / (hi.fidelity - lo.fidelity)
+    avg = (1.0 - weight) * lo.cumulative_yield + weight * hi.cumulative_yield
+    return k, hi.cumulative_yield, lo.cumulative_yield, avg
+
+
+def oracle_point(p: float, abs_eta: float, policy: Policy, f_th: float, max_rounds: int) -> dict:
+    """What one sweep cell reports: its error text, or rounds, reached, F and yields."""
+    try:
+        trace = oracle_trace(plain_params(p, abs_eta), policy, f_th, max_rounds)
+    except DomainError as exc:
+        return {"error": str(exc)}
+    out = {"error": None, "rounds": trace.rounds, "reached": trace.reached, "fidelity_final": trace.final_fidelity}
+    if trace.reached:
+        out["yields"] = oracle_yield(trace)
+    return out
 
 
 # ---------------------------------------------------------------------------
