@@ -241,7 +241,8 @@ def _oracle_exact(policy: Policy, channel: CanonicalChannelParams):
         nonlocal state
         kept = sum(
             state * state[np.ix_(flip, flip)]
-            for flip in (np.arange(4) ^ (2 * j + m) for j, m in (FP_KEEP if k == 1 and policy is Policy.FP else PP_KEEP))
+            for j, m in (FP_KEEP if k == 1 and policy is Policy.FP else PP_KEEP)
+            for flip in [np.arange(4) ^ (2 * j + m)]
         )
         prob = float(np.real(np.trace(kept)))
         state = kept / prob
@@ -298,7 +299,8 @@ def oracle_point(p: float, abs_eta: float, policy: Policy, f_th: float, max_roun
         trace = oracle_trace(plain_params(p, abs_eta), policy, f_th, max_rounds)
     except DomainError as exc:
         return {"error": str(exc)}
-    out = {"error": None, "rounds": trace.rounds, "reached": trace.reached, "fidelity_final": trace.final_fidelity}
+    out = {"error": None, "rounds": trace.rounds, "reached": trace.reached}
+    out["fidelity_final"] = trace.final_fidelity
     if trace.reached:
         out["yields"] = oracle_yield(trace)
     return out

@@ -10,13 +10,25 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from helpers import oracle_point, oracle_trace, plain_params
 from make_state_path_golden import GRID_ETA
 from make_sweep_golden import BUDGETS, GOLDEN, GRID_P
-from tko_distill import DomainError, Policy, run, run_point, sweep_eta, sweep_p, sweep_to_csv
-from tko_distill.distill import _ENGINES
+from tko_distill import (
+    DegenerateProtocolError,
+    DomainError,
+    Policy,
+    round_exact,
+    run,
+    run_point,
+    sweep_eta,
+    sweep_p,
+    sweep_to_csv,
+)
+from tko_distill.distill import _ENGINES, _exact_column
+from tko_distill.linalg import PHI_PLUS, projector
 
 TOL = 1e-12
 POLICIES = tuple(Policy)
@@ -35,8 +47,8 @@ def _check_traces(got, want, where):
     assert len(got.records) == len(want.records), where
     for a, b in zip(got.records, want.records):
         assert a.round_index == b.round_index, where
-        for x, y in ((a.fidelity, b.fidelity), (a.keep_prob, b.keep_prob), (a.cumulative_yield, b.cumulative_yield)):
-            assert abs(x - y) <= TOL, (where, a.round_index)
+        for name in ("fidelity", "keep_prob", "cumulative_yield"):
+            assert abs(getattr(a, name) - getattr(b, name)) <= TOL, (where, a.round_index, name)
 
 
 @pytest.mark.parametrize("f_th, max_rounds", BUDGETS)
@@ -53,28 +65,36 @@ def test_run_matches_the_scalar_oracle(policy, f_th, max_rounds):
                     _check_traces(got, want, where)
 
 
+def _sweeps(f_th, max_rounds):
+    """Every cell of the edge grid through both sweeps, with its (p, |eta|, policy)."""
+    budget = {"f_th": f_th, "policies": POLICIES, "max_rounds": max_rounds}
+    for e in GRID_ETA:
+        cells = [(p, e, pol) for p in GRID_P for pol in POLICIES]
+        yield from zip(sweep_p(e, GRID_P, **budget), cells)
+    for p in GRID_P:
+        cells = [(p, e, pol) for e in GRID_ETA for pol in POLICIES]
+        yield from zip(sweep_eta(p, GRID_ETA, **budget), cells)
+
+
 @pytest.mark.parametrize("f_th, max_rounds", BUDGETS)
 def test_sweep_cells_match_the_scalar_oracle(f_th, max_rounds):
-    for e in GRID_ETA:
-        points = sweep_p(e, GRID_P, f_th=f_th, policies=POLICIES, max_rounds=max_rounds)
-        cells = [(p, pol) for p in GRID_P for pol in POLICIES]
-        assert [(pt.p, pt.policy) for pt in points] == cells
-        for pt, (p, pol) in zip(points, cells):
-            where = (p, e, pol.value)
-            want = oracle_point(p, e, pol, f_th, max_rounds)
-            assert pt.error == want["error"], where
-            if want["error"] is not None:
-                assert (pt.reached, pt.rounds, pt.fidelity_final, pt.report) == (False, None, None, None)
-                continue
-            assert (pt.rounds, pt.reached) == (want["rounds"], want["reached"]), where
-            assert abs(pt.fidelity_final - want["fidelity_final"]) <= TOL, where
-            if not pt.reached:
-                assert pt.report is None, where
-                continue
-            rep = pt.report
-            assert rep.policy is pol and rep.f_th == f_th and rep.rounds_used == want["yields"][0], where
-            got = (rep.yield_at_k, rep.yield_at_k_minus_1, rep.average_yield)
-            assert max(abs(x - y) for x, y in zip(got, want["yields"][1:])) <= TOL, where
+    for pt, (p, e, pol) in _sweeps(f_th, max_rounds):
+        where = (p, e, pol.value)
+        assert (pt.p, pt.abs_eta, pt.policy) == (p, e, pol), where
+        want = oracle_point(p, e, pol, f_th, max_rounds)
+        assert pt.error == want["error"], where
+        if want["error"] is not None:
+            assert (pt.reached, pt.rounds, pt.fidelity_final, pt.report) == (False, None, None, None)
+            continue
+        assert (pt.rounds, pt.reached) == (want["rounds"], want["reached"]), where
+        assert abs(pt.fidelity_final - want["fidelity_final"]) <= TOL, where
+        if not pt.reached:
+            assert pt.report is None, where
+            continue
+        rep = pt.report
+        assert rep.policy is pol and rep.f_th == f_th and rep.rounds_used == want["yields"][0], where
+        got = (rep.yield_at_k, rep.yield_at_k_minus_1, rep.average_yield)
+        assert max(abs(x - y) for x, y in zip(got, want["yields"][1:])) <= TOL, where
 
 
 def test_no_cell_reports_a_value_above_one():
@@ -163,3 +183,15 @@ def test_p_at_one_folds_into_the_cell(p):
     for pt in points:
         assert pt.p == p and not pt.reached
         assert pt.error == "p=1.0 leaves no entanglement to distill"
+
+
+def test_a_vanished_branch_fails_only_its_own_cell():
+    good = 0.8 * projector(PHI_PLUS) + 0.2 * projector(np.array([0.0, 1.0, 0.0, 0.0]))
+    empty = projector(np.array([0.0, 1.0, 0.0, 0.0]))  # FP keeps rho[1, 1] rho[2, 2] = 0
+    with pytest.raises(DegenerateProtocolError, match="kept measurement branches have no population"):
+        round_exact(empty, Policy.FP)
+    hist, rounds, errors = _exact_column(Policy.FP, np.array([good, empty]), np.ones(2), 0.99, 64)
+    alone, alone_rounds, alone_errors = _exact_column(Policy.FP, good[None].copy(), np.ones(1), 0.99, 64)
+    assert list(errors) == [1] and isinstance(errors[1], DegenerateProtocolError)
+    assert alone_errors == {} and rounds[0] == alone_rounds[0] >= 1
+    assert np.array_equal(hist[:, : rounds[0] + 1, 0], alone[:, : rounds[0] + 1, 0])
