@@ -20,14 +20,16 @@ from tko_distill import (
     DegenerateProtocolError,
     DomainError,
     Policy,
+    kraus_from_params,
     round_exact,
     run,
     run_point,
+    shared_state,
     sweep_eta,
     sweep_p,
     sweep_to_csv,
 )
-from tko_distill.distill import _ENGINES, _exact_column
+from tko_distill.distill import _ENGINES, _canonical_states, _exact_column
 from tko_distill.linalg import PHI_PLUS, projector
 
 TOL = 1e-12
@@ -195,3 +197,10 @@ def test_a_vanished_branch_fails_only_its_own_cell():
     assert list(errors) == [1] and isinstance(errors[1], DegenerateProtocolError)
     assert alone_errors == {} and rounds[0] == alone_rounds[0] >= 1
     assert np.array_equal(hist[:, : rounds[0] + 1, 0], alone[:, : rounds[0] + 1, 0])
+
+
+def test_stacked_canonical_states_equal_shared_state_bit_for_bit():
+    cells = [(min(max(p, 0.0), 1.0 - 1e-9), e) for p in GRID_P for e in GRID_ETA]
+    stack = _canonical_states(*np.array(cells).T)
+    for (p, e), rho in zip(cells, stack):
+        assert np.array_equal(rho, shared_state(kraus_from_params(plain_params(p, e)))), (p, e)
