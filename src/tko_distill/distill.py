@@ -262,9 +262,8 @@ def _iterate(f0, keep0, step, f_th: float, max_rounds: int, plateau: bool = Fals
     return np.swapaxes(np.array(rows), 0, 1), rounds
 
 
-def _refuse(bad, error: type, text: str, values=None) -> dict:
+def _refuse(bad, error: type, text: str, values) -> dict:
     """``error(text.format(values[i]))`` for each cell i where ``bad`` holds."""
-    values = bad if values is None else values
     return {i: error(text.format(values[i])) for i in np.flatnonzero(bad).tolist()}
 
 
@@ -303,7 +302,8 @@ def _exact_column(policy, state, keep0, f_th, max_rounds):
 
     f0 = pure_fidelity(state, PHI_PLUS)
     hist, rounds = _iterate(f0, keep0, step, f_th, max_rounds, plateau=policy is Policy.QPA)
-    return hist, rounds, _refuse(np.isnan(hist[0, -1]), DegenerateProtocolError, _NO_POPULATION)
+    f_end = hist[0, -1]
+    return hist, rounds, _refuse(np.isnan(f_end), DegenerateProtocolError, _NO_POPULATION, f_end)
 
 
 def _qpa_column(rho, f_th, max_rounds):
