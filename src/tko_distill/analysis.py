@@ -174,16 +174,9 @@ def random_locc_check(
     rng = np.random.default_rng(seed)
     weighted = _locc_template(params)
     best = 0.0
-    remaining = samples
-    while remaining > 0:
-        batch = min(_LOCC_CHUNK, remaining)
-        remaining -= batch
-        n_a = rng.standard_normal((batch, 4, 4)) + 1j * rng.standard_normal(
-            (batch, 4, 4)
-        )
-        n_b = rng.standard_normal((batch, 4, 4)) + 1j * rng.standard_normal(
-            (batch, 4, 4)
-        )
+    for start in range(0, samples, _LOCC_CHUNK):
+        shape = (min(_LOCC_CHUNK, samples - start), 4, 4)
+        n_a, n_b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "ab")
         num, den = _locc_num_den(weighted, n_a, n_b)
         best = max(best, float(np.max(num / den)))
     return best

@@ -290,15 +290,11 @@ def _build_parser() -> _Parser:
     sp.add_argument("--f-th", type=float, default=0.99, help="fidelity threshold (default 0.99)")
     sp.add_argument("--max-rounds", type=int, default=64, help="round budget (default 64)")
     sp.add_argument(
-        "--engine",
-        choices=("analytic", "exact"),
-        default=None,
-        help="override the engine (default: exact for qpa, analytic otherwise)",
+        "--engine", choices=("analytic", "exact"), help="override the engine (default analytic)"
     )
     sp.add_argument(
-        "--check-analytic",
-        action="store_true",
-        help="with --engine exact (fp/pp): cross-check against the closed forms, exit 3 on mismatch",
+        "--check-analytic", action="store_true",
+        help="with --engine exact (fp/pp/qpa): check against the analytic engine, exit 3 on mismatch",
     )
     _add_format_arg(sp, "csv")
     sp.set_defaults(func=_cmd_distill)

@@ -1,11 +1,12 @@
 """Recurrence distillation protocols: closed-form recurrences and an exact engine.
 
 Two independent execution paths are provided on purpose.  The analytic path
-iterates the closed-form fidelity/probability recurrences; the exact path
-carries the pair's 4x4 density matrix through each bilateral-CNOT round and
-post-selects on the target-pair outcomes.  Tests hold the two paths against
-each other at every round.  Both advance a column of cells at once: one
-masked round loop serves a whole sweep, and ``run`` is its one-cell case.
+iterates the closed-form fidelity/probability recurrences (for QPA, a power
+law in the round index); the exact path carries the pair's 4x4 density
+matrix through each bilateral-CNOT round and post-selects on the target-pair
+outcomes.  Tests hold the two paths against each other at every round.  Both
+advance a column of cells at once: one masked round loop serves a whole
+sweep, and ``run`` is its one-cell case.
 
 Pair states are indexed |ab> = 2a+b, Alice's qubit first.  In a round the
 first copy is the source (kept) pair and the second the target (measured)
@@ -176,21 +177,27 @@ def round_exact(pair_state: np.ndarray, policy: Policy) -> tuple[float, np.ndarr
     return float(prob[0]) / 2.0, kept[0]
 
 
-def _canonical_states(p: np.ndarray, abs_eta: np.ndarray) -> np.ndarray:
-    """``choi`` of the canonical channels (p, |eta|), u = v = I, as an (n, 4, 4) stack.
-
-    vecs[:, k, 2a + b] = C_k[b, a]; each entry is rounded as ``choi`` rounds it.
-    """
-    vecs = np.zeros((len(p), 2, 4))
-    vecs[:, 0, 0] = 1.0
-    vecs[:, 0, 3] = np.sqrt(1.0 - p)
-    vecs[:, 1, 2:] = np.sqrt(p)[:, None] * np.stack([abs_eta, np.sqrt(1.0 - abs_eta**2)], 1)
-    weighted = vecs * PHI_PLUS[0].real ** 2
-    return (weighted[:, :, :, None] * vecs[:, :, None, :]).sum(axis=1).astype(complex)
-
-
 # ---------------------------------------------------------------------------
 # Closed-form recurrences; each works on floats and, elementwise, on arrays
+
+
+def _qpa_canonical(p, abs_eta):
+    """QPA's prepared F and ``_qpa_round`` logs on canonical channels: a0 = (1 + s)/2 >= b0,
+    t = b0/a0 = p/(1 + s)^2, r = c0/a0 = 1 - |eta|^2 p/(1 + s), s = sqrt(1 - p); nothing cancels."""
+    s, x = np.sqrt(1.0 - p), abs_eta**2 * p
+    with np.errstate(divide="ignore"):  # p = 0: t = 0
+        logs = np.array([np.zeros_like(p), np.log(p) - 2.0 * np.log1p(s), np.log1p(-x / (1.0 + s))])
+    return (1.0 + s) / 2.0 - x / 4.0, logs
+
+
+def _qpa_round(logs, k: int):
+    """F and keep probability of QPA round k >= 1.  Keeping the agreeing branches
+    maps a = rho00 + rho33, b = rho11 + rho22, c = 2 Re rho03 to (a^2, b^2, c^2)/(a^2 + b^2),
+    keeps (a^2 + b^2)/2 and has F = (a + c)/2: F_k = (a0^n + |c0|^n)/(2(a0^n + b0^n)), n = 2^k.
+    ``logs`` holds log(a0/m), log(b0/m), log|c0/m|, m = max(a0, b0), so no power overflows."""
+    a, b, c = np.exp(2.0 ** (k - 1) * logs)
+    a2, b2 = a * a, b * b
+    return (a2 + c * c) / (2.0 * (a2 + b2)), (a2 + b2) / (2.0 * (a + b) ** 2)
 
 
 def recurrence_step(f: float) -> tuple[float, float]:
@@ -306,10 +313,10 @@ def _exact_column(policy, state, keep0, f_th, max_rounds):
     return hist, rounds, _refuse(np.isnan(f_end), DegenerateProtocolError, _NO_POPULATION, f_end)
 
 
-def _qpa_column(rho, f_th, max_rounds):
-    """QPA on an (n, 4, 4) stack of shared states: Hadamards on both sides first."""
-    prep = np.kron(HADAMARD, HADAMARD)
-    return _exact_column(Policy.QPA, prep @ rho @ dagger(prep), np.ones(len(rho)), f_th, max_rounds)
+def _qpa_column(f0, logs, f_th, max_rounds):
+    """QPA in power form on a column of prepared fidelities and ``_qpa_round`` logs."""
+    step = lambda k, f: _qpa_round(logs, k)  # noqa: E731
+    return (*_iterate(f0, np.ones(len(f0)), step, f_th, max_rounds, plateau=True), {})
 
 
 def _columns(policy: Policy, p, abs_eta, f_th: float, max_rounds: int):
@@ -317,7 +324,7 @@ def _columns(policy: Policy, p, abs_eta, f_th: float, max_rounds: int):
     dead = p >= 1.0
     q = np.where(dead, 0.0, p)  # a placeholder for the cells refused below
     if policy is Policy.QPA:
-        cells = _qpa_column(_canonical_states(q, abs_eta), f_th, max_rounds)
+        cells = _qpa_column(*_qpa_canonical(q, abs_eta), f_th, max_rounds)
     else:
         # u, v and the phase of eta act locally, so the closed forms in
         # (p, |eta|) carry everything the analytic recurrences need.
@@ -360,16 +367,15 @@ def bbpssw_trace(f_init: float, f_th: float = 0.99, max_rounds: int = 64) -> Dis
 # ---------------------------------------------------------------------------
 # Full pipeline
 
-# Engines each policy runs on, its default first.  QPA has no closed-form
-# recurrence that preserves its state structure, and BBPSSW's Werner twirl
-# has no operator-level round.  Sweeps run every policy on its default.
+# Engines each policy runs on, its default first.  QPA's closed form is the
+# power law of ``_qpa_round``; BBPSSW's Werner twirl has no operator-level
+# round.  Sweeps run every policy on its default.
 _ENGINES = {
     Policy.FP: ("analytic", "exact"),
     Policy.PP: ("analytic", "exact"),
-    Policy.QPA: ("exact",),
+    Policy.QPA: ("analytic", "exact"),
     Policy.BBPSSW: ("analytic",),
 }
-_ENGINE_NOUN = {"analytic": "analytic recurrence", "exact": "exact round"}
 
 
 def _check_budget(f_th: float, max_rounds: int) -> None:
@@ -402,26 +408,31 @@ def run(
     max_rounds : int
         Round budget; hitting it marks the trace as not reached.
     engine : {"analytic", "exact", None}
-        FP/PP run on either engine (None picks analytic).  QPA runs only on
-        the exact engine and BBPSSW only on its analytic recursion; asking
-        for the other engine raises ValueError.
+        None picks analytic; BBPSSW has no exact engine (ValueError).  QPA's
+        analytic F_k is a power law: for p > 0 and |eta| > 0 it tends to 1/2,
+        so only phase damping (|eta| = 0) converges; the rest stop at a plateau.
     """
     policy = Policy(policy)
     _check_budget(f_th, max_rounds)
     check_noise_severity(channel.p)
-    if engine not in (None, "analytic", "exact"):
-        raise ValueError(f"unknown engine {engine!r}")
-    allowed = _ENGINES[policy]
-    if engine is None:
-        engine = allowed[0]
-    elif engine not in allowed:
-        noun = _ENGINE_NOUN[engine]
-        raise ValueError(f"{policy.name} has no {noun}; use the {allowed[0]} engine")
+    engine = "analytic" if engine is None else engine
+    if engine not in _ENGINES[policy]:
+        raise ValueError(f"{policy.name} has no {engine!r} engine; use {_ENGINES[policy][0]!r}")
 
-    if engine == "analytic":
+    plain = policy is not Policy.QPA or (channel.u == ID2).all() and (channel.v == ID2).all()
+    if engine == "analytic" and plain:
         cell = _columns(policy, *np.array([[channel.p], [channel.abs_eta]]), f_th, max_rounds)
     elif policy is Policy.QPA:
-        cell = _qpa_column(shared_state(kraus_from_params(channel))[None], f_th, max_rounds)
+        prep = np.kron(HADAMARD, HADAMARD)
+        state = prep @ shared_state(kraus_from_params(channel)) @ dagger(prep)
+        if engine == "exact":
+            cell = _exact_column(policy, state[None], np.ones(1), f_th, max_rounds)
+        else:  # u and v do not act locally on QPA: read a0, b0 and c0 off its state
+            d, c = state.diagonal().real, 2.0 * state[0, 3].real
+            abc = np.array([[d[0] + d[3]], [d[1] + d[2]], [c]])
+            with np.errstate(divide="ignore"):
+                logs = np.log(np.abs(abc) / abc[:2].max())
+            cell = _qpa_column((abc[0] + abc[2]) / 2.0, logs, f_th, max_rounds)
     else:
         rho = shared_state(kraus_from_params(channel))
         params = canonical_decompose(rho)

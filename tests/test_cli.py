@@ -216,18 +216,30 @@ def test_distill_cross_check_requires_exact_engine(cli):
     rc, _, err = cli("distill", "--p", "0.8", "--eta", "1.0", "--policy", "fp", "--check-analytic")
     assert rc == 1 and "check-analytic" in err
     rc, _, _ = cli(
-        "distill", "--p", "0.8", "--eta", "0.0", "--policy", "qpa",
+        "distill", "--p", "0.8", "--eta", "0.0", "--policy", "bbpssw",
         "--engine", "exact", "--check-analytic",
     )
     assert rc == 1
 
 
 def test_distill_rejects_an_engine_the_policy_lacks(cli):
-    for policy, engine in (("bbpssw", "exact"), ("qpa", "analytic")):
+    rc, out, err = cli(
+        "distill", "--p", "0.7", "--eta", "0.5", "--policy", "bbpssw", "--engine", "exact"
+    )
+    assert rc == 1 and out == "" and "engine" in err
+
+
+def test_distill_qpa_engines_agree_inline_and_dressed(cli, tmp_path):
+    # A Kraus spec canonicalizes to dressed u and v, where analytic QPA reads
+    # its prepared state rather than the closed forms in (p, |eta|).
+    kp, _, _ = random_channel(np.random.default_rng(18), p=0.3)
+    for channel in (("--p", "0.3", "--eta", "0.2"), ("--in", _write_channel(tmp_path, kp))):
         rc, out, err = cli(
-            "distill", "--p", "0.7", "--eta", "0.5", "--policy", policy, "--engine", engine
+            "distill", *channel, "--policy", "qpa", "--engine", "exact", "--check-analytic",
+            "--format", "json",
         )
-        assert rc == 1 and out == "" and "engine" in err
+        assert rc == 0, err
+        assert json.loads(out)["engine"] == "exact"
 
 
 def test_sweep_p_csv(cli):

@@ -313,9 +313,8 @@ def test_later_rounds_use_symmetric_keep_rule():
 def test_run_engine_rules():
     ch = plain_params(0.8, 0.0)
     assert run(ch, Policy.FP).engine == "analytic"
-    assert run(ch, Policy.QPA).engine == "exact"
-    with pytest.raises(ValueError):
-        run(ch, Policy.QPA, engine="analytic")
+    assert run(ch, Policy.QPA).engine == "analytic"
+    assert run(ch, Policy.QPA, engine="exact").engine == "exact"
     assert run(ch, Policy.BBPSSW).engine == "analytic"
     with pytest.raises(ValueError):
         run(ch, Policy.BBPSSW, engine="exact")
@@ -336,6 +335,7 @@ def test_run_engine_rules():
         (Policy.FP, "exact"),
         (Policy.PP, "analytic"),
         (Policy.PP, "exact"),
+        (Policy.QPA, "analytic"),
         (Policy.QPA, "exact"),
         (Policy.BBPSSW, "analytic"),
     ],
