@@ -2,8 +2,9 @@
 
 `run` on both engines and every sweep cell are compared with
 `helpers.oracle_trace` on the edge grid of the sweep golden, record by record
-within 1e-12; analytic QPA is held to the 60-digit `helpers.oracle_qpa`.  Also here: the types a sweep point carries, the errors a sweep
-raises, and that no reported fidelity, keep probability or yield exceeds 1.
+within 1e-12; analytic QPA is held to the 60-digit `helpers.oracle_qpa`.
+Also here: the types a sweep point carries, the errors a sweep raises, and
+that no reported fidelity, keep probability or yield exceeds 1.
 """
 
 import io
