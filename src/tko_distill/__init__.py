@@ -10,18 +10,17 @@ against an exact two-pair density-matrix engine.
 
 from .analysis import (
     SweepPoint, YieldReport, average_yield, convergence_ratios, fp_branch_operators,
-    locc_fidelity, optimal_fidelity_channel, optimal_fidelity_params, random_locc_check,
-    run_point, sweep_eta, sweep_p, sweep_to_csv, sweep_to_json,
+    locc_fidelity, optimal_fidelity_channel, random_locc_check, run_point, sweep_eta,
+    sweep_p, sweep_to_csv, sweep_to_json,
 )
 from .channel import (
-    CanonicalChannelParams, ChannelValidation, KrausPair, canonical_params_from_json,
-    canonicalize, channel_from_json, channel_to_json, choi, kraus_from_params,
-    params_to_json, remix, validate,
+    CanonicalChannelParams, ChannelValidation, KrausPair, canonicalize, choi,
+    kraus_from_params, remix, validate,
 )
 from .distill import (
     DistillationTrace, Policy, RoundRecord, bbpssw_initial_fidelity, bbpssw_step,
     bbpssw_trace, recurrence_analytic, recurrence_step, round_exact, rssp_analytic,
-    rssp_apply, rssp_ops, run,
+    rssp_apply, run,
 )
 from .errors import (
     DegenerateProtocolError, DomainError, EntanglementDestroyedError,
@@ -54,19 +53,14 @@ __all__ = [
     "bbpssw_step",
     "bbpssw_trace",
     "canonical_decompose",
-    "canonical_params_from_json",
     "canonicalize",
-    "channel_from_json",
-    "channel_to_json",
     "choi",
     "convergence_ratios",
     "fp_branch_operators",
     "kraus_from_params",
     "locc_fidelity",
     "optimal_fidelity_channel",
-    "optimal_fidelity_params",
     "params_analytic",
-    "params_to_json",
     "random_locc_check",
     "recurrence_analytic",
     "recurrence_step",
@@ -74,7 +68,6 @@ __all__ = [
     "round_exact",
     "rssp_analytic",
     "rssp_apply",
-    "rssp_ops",
     "run",
     "run_point",
     "shared_state",

@@ -19,8 +19,8 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .channel import CanonicalChannelParams
-from .distill import DistillationTrace, Policy, _check_budget, _columns, rssp_ops
-from .linalg import ATOL, ID2, kron
+from .distill import DistillationTrace, Policy, _check_budget, _columns, _filter_op
+from .linalg import ATOL, ID2
 from .state import CanonicalStateParams
 
 # CNOT on two qubits, control first: the permutation |ab> -> |a, a xor b>.
@@ -32,33 +32,12 @@ CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 # ---------------------------------------------------------------------------
 
 
-def optimal_fidelity_params(
-    f: float, alpha: float, beta: float, gamma: float, delta: float
-) -> float:
-    """Largest single-pair fidelity reachable from two copies by local operations.
-
-    For the canonical two-term mixture the optimum is
-
-        F* = F^2 / (F^2 + (1 - F)^2 (gamma delta / (alpha beta))^2),
-
-    and the postselecting protocol's first round attains it.
-    """
-    if not 0.5 < f <= 1.0:
-        raise ValueError("fidelity weight must lie in (1/2, 1]")
-    if alpha * beta <= 0.0:
-        raise ValueError("alpha and beta must both be positive")
-    ratio = (gamma * delta) / (alpha * beta)
-    bad = (1.0 - f) ** 2 * ratio**2
-    return f**2 / (f**2 + bad)
-
-
 def optimal_fidelity_channel(p: float, abs_eta: float) -> float:
-    """Optimal two-copy fidelity expressed directly in channel parameters.
-
-    Equals ``optimal_fidelity_params`` on the shared state of the channel
-    ``(p, |eta|)``:
+    """Largest one-pair fidelity local operations reach from two copies of the shared state:
 
         F* = 1/2 + sqrt((1 - p)(1 - |eta|^2 p)) / ((1 - p) + (1 - |eta|^2 p)).
+
+    The fully postselecting protocol's first round attains it.
 
     For ``|eta| = 1`` this is exactly 1 whenever ``p < 1``: one round of
     postselection fully repairs any amplitude-damping channel.
@@ -146,10 +125,10 @@ def fp_branch_operators(
     applies the local filter on both of his qubits, then does the same.
     Feeding these to :func:`locc_fidelity` reproduces the optimal fidelity.
     """
-    keep_one = np.diag([0.0, 1.0]).astype(complex)
-    m_b, _ = rssp_ops(params.alpha, params.beta)
-    n_a = kron(ID2, keep_one) @ CNOT
-    n_b = kron(ID2, keep_one) @ CNOT @ kron(m_b, m_b)
+    keep_one = np.kron(ID2, np.diag([0.0, 1.0]))
+    m_b = _filter_op(params.alpha, params.beta)
+    n_a = keep_one @ CNOT
+    n_b = keep_one @ CNOT @ np.kron(m_b, m_b)
     return n_a, n_b
 
 
@@ -167,7 +146,7 @@ def random_locc_check(
     The fidelity is unchanged when either operator is multiplied by a
     nonzero scalar, so the draws are not rescaled: up to that scale, each is
     a valid measurement branch.  The maximum should never exceed
-    ``optimal_fidelity_params`` beyond numerical noise.
+    ``optimal_fidelity_channel`` beyond numerical noise.
     """
     if samples < 1:
         raise ValueError("samples must be positive")

@@ -221,86 +221,3 @@ def canonicalize(kp: KrausPair) -> CanonicalChannelParams:
     zeta = abs(zeta_raw) if abs(zeta_raw) > 1e-9 else float(np.real(zeta_raw / phase))
     scale = np.sqrt(abs(eta) ** 2 + zeta**2)
     return CanonicalChannelParams(p=p, eta=eta / scale, zeta=max(zeta, 0.0) / scale, u=u, v=v)
-
-
-# ---------------------------------------------------------------------------
-# JSON channel specs
-
-
-def matrix_to_json(m: np.ndarray) -> list:
-    return [[float(x.real), float(x.imag)] for x in np.asarray(m, dtype=complex).reshape(-1)]
-
-
-def matrix_from_json(entries, name: str) -> np.ndarray:
-    try:
-        flat = [complex(float(re), float(im)) for re, im in entries]
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} must be a list of four [re, im] pairs") from exc
-    if len(flat) != 4:
-        raise ValueError(f"{name} must have exactly four entries, got {len(flat)}")
-    return np.array(flat, dtype=complex).reshape(2, 2)
-
-
-def channel_to_json(kp: KrausPair) -> dict:
-    """Serialize a Kraus pair as row-major [re, im] entry lists."""
-    return {"kraus": [matrix_to_json(kp.c1), matrix_to_json(kp.c2)]}
-
-
-def params_to_json(cp: CanonicalChannelParams) -> dict:
-    return {
-        "p": cp.p,
-        "eta": [cp.eta.real, cp.eta.imag],
-        "zeta": cp.zeta,
-        "u": matrix_to_json(cp.u),
-        "v": matrix_to_json(cp.v),
-    }
-
-
-def _spec_from_json(obj) -> KrausPair | CanonicalChannelParams:
-    """The object a channel spec names: a Kraus pair or canonical parameters.
-
-    Accepted forms (``"canonical"`` wins when both keys are present):
-        {"kraus": [[[re,im], ...4 entries], [[re,im], ...4 entries]]}
-        {"canonical": {"p": <real>, "eta": <real> | [re, im],
-                       "u": <matrix, optional>, "v": <matrix, optional>}}
-    """
-    if not isinstance(obj, dict):
-        raise ValueError("channel spec must be a JSON object")
-    if "canonical" in obj:
-        return canonical_params_from_json(obj["canonical"])
-    if "kraus" in obj:
-        mats = obj["kraus"]
-        if not isinstance(mats, (list, tuple)) or len(mats) != 2:
-            raise ValueError("'kraus' must hold exactly two matrices")
-        return KrausPair(
-            matrix_from_json(mats[0], "kraus[0]"), matrix_from_json(mats[1], "kraus[1]")
-        )
-    raise ValueError("channel spec needs a 'kraus' or 'canonical' key")
-
-
-def _as_kraus(spec: KrausPair | CanonicalChannelParams) -> KrausPair:
-    return spec if isinstance(spec, KrausPair) else kraus_from_params(spec)
-
-
-def channel_from_json(obj: dict) -> KrausPair:
-    """Parse a channel spec (see `_spec_from_json`) into its Kraus pair."""
-    return _as_kraus(_spec_from_json(obj))
-
-
-def canonical_params_from_json(spec: dict) -> CanonicalChannelParams:
-    if not isinstance(spec, dict) or "p" not in spec:
-        raise ValueError("'canonical' spec must be an object with at least a 'p' entry")
-    p = float(spec["p"])
-    eta_spec = spec.get("eta", 0.0)
-    if isinstance(eta_spec, (list, tuple)):
-        if len(eta_spec) != 2:
-            raise ValueError("'eta' as a list must be [re, im]")
-        eta = complex(float(eta_spec[0]), float(eta_spec[1]))
-    else:
-        eta = complex(float(eta_spec), 0.0)
-    if abs(eta) > 1.0 + ATOL:
-        raise ValueError("|eta| must not exceed 1")
-    zeta = float(np.sqrt(max(1.0 - abs(eta) ** 2, 0.0)))
-    u = matrix_from_json(spec["u"], "u") if "u" in spec else ID2.copy()
-    v = matrix_from_json(spec["v"], "v") if "v" in spec else ID2.copy()
-    return CanonicalChannelParams(p=p, eta=eta, zeta=zeta, u=u, v=v)

@@ -39,12 +39,9 @@ from .analysis import (
 from .channel import (
     CanonicalChannelParams,
     KrausPair,
-    _as_kraus,
-    _spec_from_json,
     canonicalize,
     check_noise_severity,
-    matrix_to_json,
-    params_to_json,
+    kraus_from_params,
     validate,
 )
 from .distill import DistillationTrace, Policy, run
@@ -55,6 +52,7 @@ from .errors import (
     NonDistillableError,
     SingleKrausChannelError,
 )
+from .linalg import ATOL, ID2
 from .state import canonical_decompose, shared_state
 
 _DOMAIN_CODES = {
@@ -99,6 +97,75 @@ def _add_format_arg(sub: argparse.ArgumentParser, default: str) -> None:
     )
 
 
+def _matrix_to_json(m: np.ndarray) -> list:
+    return [[float(x.real), float(x.imag)] for x in np.asarray(m, dtype=complex).reshape(-1)]
+
+
+def _matrix_from_json(entries, name: str) -> np.ndarray:
+    try:
+        flat = [complex(float(re), float(im)) for re, im in entries]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a list of four [re, im] pairs") from exc
+    if len(flat) != 4:
+        raise ValueError(f"{name} must have exactly four entries, got {len(flat)}")
+    return np.array(flat, dtype=complex).reshape(2, 2)
+
+
+def _params_to_json(cp: CanonicalChannelParams) -> dict:
+    return {
+        "p": cp.p,
+        "eta": [cp.eta.real, cp.eta.imag],
+        "zeta": cp.zeta,
+        "u": _matrix_to_json(cp.u),
+        "v": _matrix_to_json(cp.v),
+    }
+
+
+def _canonical_params_from_json(spec: dict) -> CanonicalChannelParams:
+    if not isinstance(spec, dict) or "p" not in spec:
+        raise ValueError("'canonical' spec must be an object with at least a 'p' entry")
+    p = float(spec["p"])
+    eta_spec = spec.get("eta", 0.0)
+    if isinstance(eta_spec, (list, tuple)):
+        if len(eta_spec) != 2:
+            raise ValueError("'eta' as a list must be [re, im]")
+        eta = complex(float(eta_spec[0]), float(eta_spec[1]))
+    else:
+        eta = complex(float(eta_spec), 0.0)
+    if abs(eta) > 1.0 + ATOL:
+        raise ValueError("|eta| must not exceed 1")
+    zeta = float(np.sqrt(max(1.0 - abs(eta) ** 2, 0.0)))
+    u = _matrix_from_json(spec["u"], "u") if "u" in spec else ID2.copy()
+    v = _matrix_from_json(spec["v"], "v") if "v" in spec else ID2.copy()
+    return CanonicalChannelParams(p=p, eta=eta, zeta=zeta, u=u, v=v)
+
+
+def _spec_from_json(obj) -> KrausPair | CanonicalChannelParams:
+    """The object a channel spec names: a Kraus pair or canonical parameters.
+
+    Accepted forms (``"canonical"`` wins when both keys are present):
+        {"kraus": [[[re,im], ...4 entries], [[re,im], ...4 entries]]}
+        {"canonical": {"p": <real>, "eta": <real> | [re, im],
+                       "u": <matrix, optional>, "v": <matrix, optional>}}
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("channel spec must be a JSON object")
+    if "canonical" in obj:
+        return _canonical_params_from_json(obj["canonical"])
+    if "kraus" in obj:
+        mats = obj["kraus"]
+        if not isinstance(mats, (list, tuple)) or len(mats) != 2:
+            raise ValueError("'kraus' must hold exactly two matrices")
+        return KrausPair(
+            _matrix_from_json(mats[0], "kraus[0]"), _matrix_from_json(mats[1], "kraus[1]")
+        )
+    raise ValueError("channel spec needs a 'kraus' or 'canonical' key")
+
+
+def _as_kraus(spec: KrausPair | CanonicalChannelParams) -> KrausPair:
+    return spec if isinstance(spec, KrausPair) else kraus_from_params(spec)
+
+
 def _load_spec(args) -> KrausPair | CanonicalChannelParams:
     """Resolve the channel inputs to the Kraus pair or parameters they name."""
     inline = args.p is not None or args.eta is not None
@@ -132,7 +199,7 @@ def _cmd_validate(args) -> int:
 def _cmd_canonicalize(args) -> int:
     cp = _params_of(_load_spec(args))
     header, row = ["p", "abs_eta", "zeta"], [cp.p, cp.abs_eta, cp.zeta]
-    _write_table(sys.stdout, args.format, header, [row], params_to_json(cp))
+    _write_table(sys.stdout, args.format, header, [row], _params_to_json(cp))
     return 0
 
 
@@ -143,7 +210,7 @@ def _cmd_state(args) -> int:
     header = ["fidelity", "alpha", "beta", "gamma", "delta", "theta"]
     row = [getattr(params, c) for c in header]
     obj = dict(zip(header, row))
-    obj.update(u_a=matrix_to_json(params.u_a), u_b=matrix_to_json(params.u_b))
+    obj.update(u_a=_matrix_to_json(params.u_a), u_b=_matrix_to_json(params.u_b))
     _write_table(sys.stdout, args.format, header, [row], obj)
     return 0
 

@@ -89,25 +89,12 @@ class DistillationTrace:
 # Preparation stage
 
 
-def rssp_ops(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bob's filter measurement equalizing the Schmidt weights of |mu>.
-
-    Parameters
-    ----------
-    alpha, beta : float
-        Schmidt weights of the dominant eigenvector, beta <= alpha.
-
-    Returns
-    -------
-    (m_b, m_b_bar) : kept-branch and discard-branch operators, forming a
-        complete measurement m_b^dag m_b + m_b_bar^dag m_b_bar = I.
-    """
+def _filter_op(alpha: float, beta: float) -> np.ndarray:
+    """Kept branch ``m_b = diag(beta/alpha, 1)`` of Bob's filter, which equalizes the
+    Schmidt weights alpha >= beta of |mu>; ``I - m_b^dag m_b`` is the discarded share."""
     if not 0.0 < beta <= alpha + 1e-12:
         raise ValueError("rssp requires 0 < beta <= alpha")
-    kappa = min(beta / alpha, 1.0)
-    m_b = np.diag([kappa, 1.0]).astype(complex)
-    m_b_bar = np.diag([np.sqrt(max(1.0 - kappa**2, 0.0)), 0.0]).astype(complex)
-    return m_b, m_b_bar
+    return np.diag([min(beta / alpha, 1.0), 1.0]).astype(complex)
 
 
 def rssp_apply(rho_canonical: np.ndarray, params: CanonicalStateParams) -> tuple[float, np.ndarray]:
@@ -116,8 +103,7 @@ def rssp_apply(rho_canonical: np.ndarray, params: CanonicalStateParams) -> tuple
     Returns the keep probability and the normalized post-measurement state,
     whose dominant component is exactly |Phi+>.
     """
-    m_b, _ = rssp_ops(params.alpha, params.beta)
-    op = np.kron(ID2, m_b)
+    op = np.kron(ID2, _filter_op(params.alpha, params.beta))
     kept = op @ np.asarray(rho_canonical, dtype=complex) @ dagger(op)
     p_s = float(np.real(np.trace(kept)))
     if p_s <= 1e-15:
@@ -201,26 +187,16 @@ def _qpa_round(logs, k: int):
 
 
 def recurrence_step(f: float) -> tuple[float, float]:
-    """Agreeing-branch recursion for rounds >= 2: (next fidelity, keep prob)."""
+    """Agreeing-branch round (every PP round, FP's from round 2): (next fidelity, keep prob)."""
     denom = f * f + (1.0 - f) * (1.0 - f)
     return f * f / denom, denom / 2.0
 
 
-def first_round_rates(
-    f_t: float, gamma_t: float, delta_t: float, policy: Policy
-) -> tuple[float, float]:
-    """Branch probability and fidelity of round 1 after the filter stage.
-
-    The returned probability is the branch probability (no 1/2 factor);
-    divide by two for the per-input-pair keep probability.
-    """
-    if policy is Policy.FP:
-        p_branch = 0.5 * f_t**2 + 2.0 * (1.0 - f_t) ** 2 * (gamma_t * delta_t) ** 2
-        return p_branch, 0.5 * f_t**2 / p_branch
-    if policy is Policy.PP:
-        p_branch = f_t**2 + (1.0 - f_t) ** 2
-        return p_branch, f_t**2 / p_branch
-    raise ValueError(f"no closed-form first round for policy {policy}")
+def _fp_first_round(f_t, gamma_t, delta_t):
+    """FP's round 1 after the filter stage, keeping only the (1, 1) branch:
+    (fidelity, keep probability per input pair).  PP's round 1 is ``recurrence_step``."""
+    p_branch = 0.5 * f_t**2 + 2.0 * (1.0 - f_t) ** 2 * (gamma_t * delta_t) ** 2
+    return 0.5 * f_t**2 / p_branch, p_branch / 2.0
 
 
 def bbpssw_step(f: float) -> tuple[float, float]:
@@ -275,14 +251,15 @@ def _refuse(bad, error: type, text: str, values) -> dict:
 
 
 def _recurrence_column(policy, f0, alpha, beta, gamma, delta, f_th, max_rounds):
-    """FP/PP on a column: filter stage, closed-form round 1, then the recursion."""
+    """FP/PP on a column: filter stage, FP's closed-form round 1, then the recursion."""
     text = "fidelity weight {} at or below 1/2 cannot be distilled"
     errors = _refuse(f0 <= 0.5, NonDistillableError, text, f0)
     p_s, f_t, g_t, d_t = rssp_analytic(np.where(f0 <= 0.5, np.nan, f0), alpha, beta, gamma, delta)
-    p_branch, f1 = first_round_rates(f_t, g_t, d_t, policy)
 
     def step(k, f):
-        return recurrence_step(f) if k > 1 else (f1, p_branch / 2.0)
+        if k == 1 and policy is Policy.FP:
+            return _fp_first_round(f, g_t, d_t)
+        return recurrence_step(f)
 
     return (*_iterate(f_t, p_s, step, f_th, max_rounds), errors)
 

@@ -25,11 +25,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with complex dtype."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def projector(ket: np.ndarray) -> np.ndarray:
     """Rank-1 projector |ket><ket|."""
     ket = np.asarray(ket, dtype=complex).reshape(-1)

@@ -115,16 +115,17 @@ def params_analytic(p: float, abs_eta: float) -> tuple[float, float, float, floa
     root = np.sqrt((1.0 - p) * (1.0 - abs_eta**2 * p))
     f = 0.5 + 0.5 * root
     noiseless = f >= 1.0 - 1e-15
-    alpha = np.sqrt(0.5 + abs_eta * p / (4.0 * f))
-    beta = np.sqrt(np.maximum(0.5 - abs_eta * p / (4.0 * f), 0.0))
-    # gamma^2 = 1/2 - |eta| p / (4(1-f)) vanishes identically at |eta| = 1, but
-    # the direct difference of two half-sized terms leaves rounding residue
-    # that the square root amplifies to ~1e-8.  Using
-    #     (1-p)(1-|eta|^2 p) = s^2 - c,   s = 1 - |eta| p,  c = p (1-|eta|)^2,
-    # the difference rewrites cancellation-free as c / ((s + root) 4(1-f)).
+    # 1 - f, beta^2 = 1/2 - |eta| p/(4f) and gamma^2 = 1/2 - |eta| p/(4(1-f)) (zero
+    # at |eta| = 1) as quotients of sums, so nothing cancels.  With s = 1 - |eta| p
+    # and c = p (1-|eta|)^2, root^2 = s^2 - c = 1 - p (1 + |eta|^2 (1-p)), so
+    #     1 - f = p (1 + |eta|^2 (1-p)) / (2(1 + root)),  beta^2 = (s + root) / (4f),
+    #     gamma^2 = c / ((s + root) 4(1-f)).
     c = p * (1.0 - abs_eta) ** 2
     s = 1.0 - abs_eta * p
-    gamma2 = np.clip(c / ((s + root) * 4.0 * np.where(noiseless, 1.0, 1.0 - f)), 0.0, 0.5)
+    one_minus_f = p * (1.0 + abs_eta**2 * (1.0 - p)) / (2.0 * (1.0 + root))
+    alpha = np.sqrt(0.5 + abs_eta * p / (4.0 * f))
+    beta = np.sqrt((s + root) / (4.0 * f))
+    gamma2 = np.clip(c / ((s + root) * 4.0 * np.where(noiseless, 1.0, one_minus_f)), 0.0, 0.5)
     weights = (alpha, beta, np.sqrt(gamma2), np.sqrt(1.0 - gamma2))
     return (np.where(noiseless, 1.0, f), *(np.where(noiseless, np.sqrt(0.5), w) for w in weights))
 

@@ -1,13 +1,17 @@
-"""Shared helpers for the test suite: parameter grids, random channels, the
-round-1 closed-form oracle, the 16x16 two-pair oracle for the exact round, the
-scalar one-cell oracle for the column round loop, the 60-digit oracle for
-QPA's agreeing-branch map, the einsum oracle for the random LOCC search, and
-small tools that only the tests use (partial trace, Schmidt reconstruction,
-branch-by-branch rounds, steering operators, stacked canonical states)."""
+"""Shared helpers for the test suite: parameter grids, random channels, channel
+spec files for the CLI, the round-1 closed-form and optimal-fidelity oracles,
+the 60-digit oracle for the closed-form state parameters, the 16x16 two-pair
+oracle for the exact round, the scalar one-cell oracle for the column round
+loop, the 60-digit oracle for QPA's agreeing-branch map, the einsum oracle for
+the random LOCC search, and small tools that only the tests use (partial
+trace, Schmidt reconstruction, branch-by-branch rounds, steering operators,
+stacked canonical states)."""
 
 from __future__ import annotations
 
+import json
 from itertools import product
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -91,15 +95,77 @@ def random_channel(
     return kp, p, abs_eta
 
 
+def matrix_json(m: np.ndarray) -> list:
+    """A 2x2 matrix as a channel spec holds it: row-major [re, im] entries."""
+    return [[float(x.real), float(x.imag)] for x in np.asarray(m, dtype=complex).reshape(-1)]
+
+
+def write_spec(directory: Path, spec, name: str = "channel.json") -> str:
+    """Write a channel spec for ``--in`` as ``directory/name`` and return its path.
+
+    A KrausPair is written as ``{"kraus": ...}``, canonical parameters as
+    ``{"canonical": {"p", "eta" as [re, im], "u", "v"}}``, and anything else
+    (a dict, to test the format's own rules) as it is.
+    """
+    if isinstance(spec, KrausPair):
+        spec = {"kraus": [matrix_json(spec.c1), matrix_json(spec.c2)]}
+    elif isinstance(spec, CanonicalChannelParams):
+        eta, u, v = [spec.eta.real, spec.eta.imag], matrix_json(spec.u), matrix_json(spec.v)
+        spec = {"canonical": {"p": spec.p, "eta": eta, "u": u, "v": v}}
+    path = directory / name
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def optimal_fidelity_params(
+    f: float, alpha: float, beta: float, gamma: float, delta: float
+) -> float:
+    """Largest single-pair fidelity reachable from two copies by local operations.
+
+    For the canonical two-term mixture the optimum is
+
+        F* = F^2 / (F^2 + (1 - F)^2 (gamma delta / (alpha beta))^2),
+
+    and the postselecting protocol's first round attains it.  The oracle for
+    ``optimal_fidelity_channel``, which states it in channel parameters.
+    """
+    if not 0.5 < f <= 1.0:
+        raise ValueError("fidelity weight must lie in (1/2, 1]")
+    if alpha * beta <= 0.0:
+        raise ValueError("alpha and beta must both be positive")
+    ratio = (gamma * delta) / (alpha * beta)
+    bad = (1.0 - f) ** 2 * ratio**2
+    return f**2 / (f**2 + bad)
+
+
+def oracle_params_60(p: float, abs_eta: float) -> tuple[float, float, float, float, float]:
+    """(F, alpha, beta, gamma, delta) of the canonical channel (p, |eta|) at 60 digits.
+
+    Straight from the defining forms F = (1 + sqrt((1 - p)(1 - |eta|^2 p)))/2,
+    alpha^2 = 1/2 + |eta| p/(4F) and gamma^2 = 1/2 - |eta| p/(4(1 - F)), with
+    beta^2 and delta^2 their complements; each value is rounded to the nearest
+    double at the end.
+    """
+    with mpmath.workdps(60):
+        p, abs_eta = mpmath.mpf(p), mpmath.mpf(abs_eta)
+        half = mpmath.mpf(1) / 2
+        f = (1 + mpmath.sqrt((1 - p) * (1 - abs_eta**2 * p))) / 2
+        alpha2 = half + abs_eta * p / (4 * f)
+        gamma2 = half - abs_eta * p / (4 * (1 - f))
+        weights = (alpha2, 1 - alpha2, gamma2, 1 - gamma2)
+        return (float(f), *(float(mpmath.sqrt(w)) for w in weights))
+
+
 def first_round_closed_form(
     f0: float, alpha: float, beta: float, gamma: float, delta: float, policy: Policy
 ) -> tuple[float, float]:
     """Direct closed forms (P1, F1) in the raw state parameters.
 
     P1 composes the filter keep probability with the round-1 branch.  The
-    library reaches round 1 through rssp_analytic + first_round_rates; this
-    algebraically identical route is the independent oracle that both that
-    path and the exact engine are checked against.
+    library reaches round 1 through rssp_analytic, then ``_fp_first_round``
+    (FP) or ``recurrence_step`` (PP); this algebraically identical route is
+    the independent oracle that both that path and the exact engine are
+    checked against.
     """
     odd = alpha**2 * gamma**2 + beta**2 * delta**2
     if policy is Policy.FP:

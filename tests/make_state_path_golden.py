@@ -25,9 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import plain_params, random_channel
+from helpers import matrix_json, plain_params, random_channel
 from tko_distill import canonical_decompose, kraus_from_params, run, shared_state
-from tko_distill.channel import matrix_to_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "state_path.json"
 
@@ -68,7 +67,7 @@ def decompose_record(rho: np.ndarray) -> dict:
     else:
         branch = "generic"
     out = {k: getattr(prm, k) for k in ("fidelity", "alpha", "beta", "gamma", "delta", "theta")}
-    out.update(branch=branch, u_a=matrix_to_json(prm.u_a), u_b=matrix_to_json(prm.u_b))
+    out.update(branch=branch, u_a=matrix_json(prm.u_a), u_b=matrix_json(prm.u_b))
     return out
 
 

@@ -17,6 +17,7 @@ from helpers import (
     GRID,
     analytic_state_params,
     first_round_closed_form,
+    optimal_fidelity_params,
     plain_params,
     random_channel,
 )
@@ -30,7 +31,6 @@ from tko_distill import (
     kraus_from_params,
     locc_fidelity,
     optimal_fidelity_channel,
-    optimal_fidelity_params,
     params_analytic,
     random_locc_check,
     recurrence_step,

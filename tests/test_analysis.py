@@ -12,6 +12,7 @@ from helpers import (
     first_round_closed_form,
     oracle_locc_num_den,
     oracle_locc_template,
+    optimal_fidelity_params,
     oracle_random_locc_check,
     plain_params,
 )
@@ -24,7 +25,6 @@ from tko_distill import (
     fp_branch_operators,
     locc_fidelity,
     optimal_fidelity_channel,
-    optimal_fidelity_params,
     params_analytic,
     random_locc_check,
     run,

@@ -1,4 +1,4 @@
-"""Unit tests for two-Kraus channels, canonicalization, and serialization."""
+"""Unit tests for two-Kraus channels and canonicalization."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,9 @@ from tko_distill import (
     CanonicalChannelParams,
     KrausPair,
     SingleKrausChannelError,
-    canonical_params_from_json,
     canonicalize,
-    channel_from_json,
-    channel_to_json,
     choi,
     kraus_from_params,
-    params_to_json,
     remix,
     validate,
 )
@@ -123,32 +119,3 @@ def test_choi_is_a_density_matrix():
         ch = choi(kp)
         assert abs(np.trace(ch).real - 1.0) < 1e-12
         assert np.min(np.linalg.eigvalsh((ch + dagger(ch)) / 2.0)) > -1e-12
-
-
-def test_channel_json_roundtrip():
-    rng = np.random.default_rng(17)
-    kp, _, _ = random_channel(rng)
-    obj = channel_to_json(kp)
-    back = channel_from_json(obj)
-    assert np.max(np.abs(back.c1 - kp.c1)) < 1e-15
-    assert np.max(np.abs(back.c2 - kp.c2)) < 1e-15
-
-
-def test_channel_spec_with_both_keys_reads_canonical():
-    kraus = channel_to_json(kraus_from_params(plain_params(0.2, 0.0)))["kraus"]
-    canonical = {"p": 0.6, "eta": [0.0, 0.8]}
-    back = channel_from_json({"kraus": kraus, "canonical": canonical})
-    want = kraus_from_params(canonical_params_from_json(canonical))
-    assert np.array_equal(back.c1, want.c1) and np.array_equal(back.c2, want.c2)
-
-
-def test_params_json_roundtrip_and_minimal_form():
-    cp = CanonicalChannelParams(p=0.3, eta=0.5j, zeta=float(np.sqrt(0.75)))
-    back = canonical_params_from_json(params_to_json(cp))
-    assert abs(back.p - cp.p) < 1e-15
-    assert abs(back.eta - cp.eta) < 1e-15
-    assert abs(back.zeta - cp.zeta) < 1e-15
-    # zeta, u, v may be omitted; eta may be a bare number.
-    minimal = canonical_params_from_json({"p": 0.3, "eta": 0.5})
-    assert abs(minimal.zeta - np.sqrt(0.75)) < 1e-12
-    assert np.array_equal(minimal.u, ID2)

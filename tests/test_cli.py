@@ -7,14 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from helpers import plain_params, random_channel
-from tko_distill import (
-    KrausPair,
-    channel_to_json,
-    kraus_from_params,
-    params_analytic,
-    params_to_json,
-)
+from helpers import matrix_json, plain_params, random_channel, write_spec
+from tko_distill import KrausPair, canonicalize, kraus_from_params, params_analytic
 from tko_distill.cli import main
 
 
@@ -26,12 +20,6 @@ def cli(capsys):
         return rc, captured.out, captured.err
 
     return invoke
-
-
-def _write_channel(tmp_path, kp: KrausPair, name="channel.json") -> str:
-    path = tmp_path / name
-    path.write_text(json.dumps(channel_to_json(kp)))
-    return str(path)
 
 
 def test_validate_inline_ok(cli):
@@ -52,7 +40,7 @@ def test_validate_csv_format(cli):
 
 def test_validate_file_and_malformed_input(cli, tmp_path):
     kp = kraus_from_params(plain_params(0.4, 0.8))
-    rc, out, _ = cli("validate", "--in", _write_channel(tmp_path, kp))
+    rc, out, _ = cli("validate", "--in", write_spec(tmp_path, kp))
     assert rc == 0 and json.loads(out)["ok"] is True
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -63,7 +51,7 @@ def test_validate_file_and_malformed_input(cli, tmp_path):
 
 def test_canonicalize_identity_channel_is_single_kraus(cli, tmp_path):
     ident = KrausPair(np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex))
-    rc, out, err = cli("canonicalize", "--in", _write_channel(tmp_path, ident))
+    rc, out, err = cli("canonicalize", "--in", write_spec(tmp_path, ident))
     assert rc == 2 and out == ""
     assert json.loads(err)["error"] == "single-kraus-channel"
 
@@ -82,12 +70,55 @@ def test_canonicalize_inline_and_csv(cli):
 def test_canonicalize_file_roundtrip_random(cli, tmp_path):
     rng = np.random.default_rng(77)
     kp, p, abs_eta = random_channel(rng)
-    rc, out, _ = cli("canonicalize", "--in", _write_channel(tmp_path, kp))
+    rc, out, _ = cli("canonicalize", "--in", write_spec(tmp_path, kp))
     assert rc == 0
     data = json.loads(out)
     assert abs(data["p"] - p) < 1e-9
     eta = complex(*data["eta"])
     assert abs(abs(eta) - abs_eta) < 1e-9
+
+
+def test_kraus_spec_file_reads_back(cli, tmp_path):
+    # The CLI reads back exactly the pair the spec holds: its canonical
+    # parameters are the library's for that pair, to the last bit.
+    kp, _, _ = random_channel(np.random.default_rng(17))
+    rc, out, _ = cli("canonicalize", "--in", write_spec(tmp_path, kp))
+    assert rc == 0
+    data, want = json.loads(out), canonicalize(kp)
+    assert data["p"] == want.p and complex(*data["eta"]) == want.eta
+    assert data["u"] == matrix_json(want.u) and data["v"] == matrix_json(want.v)
+
+
+def test_channel_spec_with_both_keys_reads_canonical(cli, tmp_path):
+    pair = kraus_from_params(plain_params(0.2, 0.0))
+    kraus = [matrix_json(pair.c1), matrix_json(pair.c2)]
+    spec = {"kraus": kraus, "canonical": {"p": 0.6, "eta": [0.0, 0.8]}}
+    rc, out, _ = cli("canonicalize", "--in", write_spec(tmp_path, spec, "both.json"))
+    assert rc == 0
+    data = json.loads(out)
+    assert data["p"] == 0.6 and data["eta"] == [0.0, 0.8]
+    assert data["u"] == data["v"] == matrix_json(np.eye(2))
+
+
+def test_canonical_spec_roundtrip_and_minimal_form(cli, tmp_path):
+    # canonicalize's JSON, wrapped as {"canonical": ...}, is a channel spec
+    # that canonicalizes to the same (p, eta, u, v).
+    kp, _, _ = random_channel(np.random.default_rng(19))
+    rc, out, _ = cli("canonicalize", "--in", write_spec(tmp_path, kp))
+    first = json.loads(out)
+    spec = write_spec(tmp_path, {"canonical": first}, "canonical.json")
+    rc, out, _ = cli("canonicalize", "--in", spec)
+    assert rc == 0
+    again = json.loads(out)
+    assert all(again[key] == first[key] for key in ("p", "eta", "u", "v"))
+    assert abs(again["zeta"] - first["zeta"]) < 1e-12
+    # zeta, u, v may be omitted; eta may be a bare number.
+    minimal = write_spec(tmp_path, {"canonical": {"p": 0.3, "eta": 0.5}}, "minimal.json")
+    rc, out, _ = cli("canonicalize", "--in", minimal)
+    assert rc == 0
+    data = json.loads(out)
+    assert data["eta"] == [0.5, 0.0] and abs(data["zeta"] - np.sqrt(0.75)) < 1e-12
+    assert data["u"] == matrix_json(np.eye(2))
 
 
 def test_state_inline_matches_closed_forms(cli):
@@ -108,9 +139,8 @@ def test_state_csv_header(cli):
 
 
 def test_state_accepts_canonical_params_file(cli, tmp_path):
-    path = tmp_path / "params.json"
-    path.write_text(json.dumps({"canonical": params_to_json(plain_params(0.8, 0.0))}))
-    rc, out, _ = cli("state", "--in", str(path))
+    path = write_spec(tmp_path, plain_params(0.8, 0.0), "params.json")
+    rc, out, _ = cli("state", "--in", path)
     assert rc == 0
     f = params_analytic(0.8, 0.0)[0]
     assert abs(json.loads(out)["fidelity"] - f) < 1e-9
@@ -119,12 +149,10 @@ def test_state_accepts_canonical_params_file(cli, tmp_path):
 def test_state_reports_p_one_as_entanglement_destroyed(cli, tmp_path):
     # The same p >= 1 rule as distill, for each way a channel can come in.
     cp = plain_params(1.0, 0.5)
-    canonical = tmp_path / "params.json"
-    canonical.write_text(json.dumps({"canonical": params_to_json(cp)}))
     for spec in (
         ("--p", "1", "--eta", "0.5"),
-        ("--in", _write_channel(tmp_path, kraus_from_params(cp))),
-        ("--in", str(canonical)),
+        ("--in", write_spec(tmp_path, kraus_from_params(cp))),
+        ("--in", write_spec(tmp_path, cp, "params.json")),
     ):
         for command in ("state", "distill"):
             extra = ("--policy", "fp") if command == "distill" else ()
@@ -135,11 +163,11 @@ def test_state_reports_p_one_as_entanglement_destroyed(cli, tmp_path):
 
 def test_state_validates_the_kraus_pair(cli, tmp_path):
     leaky = KrausPair(np.eye(2, dtype=complex), np.ones((2, 2), dtype=complex))
-    rc, out, err = cli("state", "--in", _write_channel(tmp_path, leaky), "--format", "json")
+    rc, out, err = cli("state", "--in", write_spec(tmp_path, leaky), "--format", "json")
     assert rc == 1 and out == ""
     assert "not trace preserving" in json.loads(err)["detail"]
     ident = KrausPair(np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex))
-    rc, out, err = cli("state", "--in", _write_channel(tmp_path, ident), "--format", "json")
+    rc, out, err = cli("state", "--in", write_spec(tmp_path, ident), "--format", "json")
     assert rc == 2 and out == ""
     assert json.loads(err)["error"] == "single-kraus-channel"
 
@@ -233,7 +261,7 @@ def test_distill_qpa_engines_agree_inline_and_dressed(cli, tmp_path):
     # A Kraus spec canonicalizes to dressed u and v, where analytic QPA reads
     # its prepared state rather than the closed forms in (p, |eta|).
     kp, _, _ = random_channel(np.random.default_rng(18), p=0.3)
-    for channel in (("--p", "0.3", "--eta", "0.2"), ("--in", _write_channel(tmp_path, kp))):
+    for channel in (("--p", "0.3", "--eta", "0.2"), ("--in", write_spec(tmp_path, kp))):
         rc, out, err = cli(
             "distill", *channel, "--policy", "qpa", "--engine", "exact", "--check-analytic",
             "--format", "json",
@@ -364,7 +392,7 @@ def test_cli_rejects_unknown_subcommand(cli):
 
 def test_cli_rejects_conflicting_channel_specs(cli, tmp_path):
     kp = kraus_from_params(plain_params(0.4, 0.8))
-    path = _write_channel(tmp_path, kp)
+    path = write_spec(tmp_path, kp)
     rc, _, err = cli("canonicalize", "--in", path, "--p", "0.4", "--eta", "0.8")
     assert rc == 1 and err != ""
 
@@ -394,12 +422,11 @@ def _assert_same_cells(row: dict, obj: dict) -> None:
 def test_single_row_csv_matches_json(cli, tmp_path, command):
     rng = np.random.default_rng(5)
     kp, _, _ = random_channel(rng)
-    canonical = tmp_path / "canonical.json"
-    canonical.write_text(json.dumps({"canonical": {"p": 0.7, "eta": [0.3, 0.4]}}))
+    canonical = {"canonical": {"p": 0.7, "eta": [0.3, 0.4]}}
     for channel in (
         ("--p", "0.3", "--eta", "0.5"),
-        ("--in", _write_channel(tmp_path, kp)),
-        ("--in", str(canonical)),
+        ("--in", write_spec(tmp_path, kp)),
+        ("--in", write_spec(tmp_path, canonical, "canonical.json")),
     ):
         (row,), obj = _both_formats(cli, command, *channel)
         if command == "canonicalize":

@@ -39,9 +39,9 @@ from tko_distill import (
     round_exact,
     rssp_analytic,
     rssp_apply,
-    rssp_ops,
     run,
 )
+from tko_distill.distill import _filter_op
 from tko_distill.linalg import PHI_PLUS, dagger, projector, pure_fidelity
 
 HALF = float(np.sqrt(0.5))
@@ -70,28 +70,30 @@ def test_pair_interleave_is_a_permutation():
 
 
 def test_rssp_ops_examples():
-    m_b, m_b_bar = rssp_ops(HALF, HALF)
+    # Bob's kept filter branch; at alpha = beta it keeps everything.
+    m_b = _filter_op(HALF, HALF)
     assert np.max(np.abs(m_b - ID2)) < 1e-12
-    assert np.max(np.abs(m_b_bar)) < 1e-12
-    m_b, m_b_bar = rssp_ops(np.sqrt(5.0 / 6.0), np.sqrt(1.0 / 6.0))
+    m_b = _filter_op(np.sqrt(5.0 / 6.0), np.sqrt(1.0 / 6.0))
     assert abs(m_b[0, 0] - 1.0 / np.sqrt(5.0)) < 1e-12
     assert abs(m_b[1, 1] - 1.0) < 1e-12
 
 
 def test_rssp_ops_completeness_random():
+    # The kept branch completes to a measurement: its discarded share
+    # I - m_b^dag m_b is positive semidefinite.
     rng = np.random.default_rng(31)
     for _ in range(50):
         b2 = rng.uniform(0.0, 0.5)
         alpha, beta = np.sqrt(1.0 - b2), np.sqrt(b2)
         if beta < 1e-6:
             continue
-        m_b, m_b_bar = rssp_ops(alpha, beta)
-        assert np.max(np.abs(dagger(m_b) @ m_b + dagger(m_b_bar) @ m_b_bar - ID2)) < 1e-12
+        m_b = _filter_op(alpha, beta)
+        assert np.min(np.linalg.eigvalsh(ID2 - dagger(m_b) @ m_b)) > -1e-12
 
 
 def test_rssp_ops_rejects_bad_order():
     with pytest.raises(ValueError):
-        rssp_ops(0.5, np.sqrt(0.75))
+        _filter_op(0.5, np.sqrt(0.75))
 
 
 def test_rssp_apply_phase_damping_is_identity():

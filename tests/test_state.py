@@ -7,6 +7,7 @@ from helpers import (
     GRID,
     ID2,
     PSI_PLUS,
+    oracle_params_60,
     partial_trace,
     plain_params,
     random_channel,
@@ -32,7 +33,6 @@ from tko_distill.linalg import (
     PHI_PLUS,
     dagger,
     eig_hermitian,
-    kron,
     projector,
 )
 
@@ -67,6 +67,24 @@ def test_params_analytic_validates_domain():
         params_analytic(-0.1, 0.5)
     with pytest.raises(ValueError):
         params_analytic(0.5, 1.5)
+
+
+# From p = 1e-14, below canonicalize's unitary cutoff but still a channel to
+# the closed forms, to p = 1 - 1e-9.  Near either end 1 - F, beta^2 or gamma^2
+# is, in its defining form, a difference of nearly equal terms.
+EDGE_P = (1e-14, 4e-12, 1e-10, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-6, 1 - 1e-9)
+EDGE_ETA = (0.0, 1e-5, 0.1, 0.5, float(np.sin(3 * np.pi / 8)), 1.0)
+
+
+def test_params_analytic_matches_60_digit_oracle_on_edge_grid():
+    cells = [(p, e) for p in EDGE_P for e in EDGE_ETA]
+    columns = params_analytic(*np.array(cells).T)
+    for i, cell in enumerate(cells):
+        want = oracle_params_60(*cell)
+        for name, got_col, scalar, w in zip("FABGD", columns, params_analytic(*cell), want):
+            # Relative to the oracle; a zero (gamma at |eta| = 1) must be exact.
+            assert abs(got_col[i] - w) <= 1e-14 * abs(w), (cell, name, got_col[i], w)
+            assert scalar == got_col[i], (cell, name)
 
 
 def test_shared_state_identity_channel():
@@ -276,7 +294,7 @@ def test_steering_reaches_target_parameters():
         for m, bar in ((m_a, m_a_bar), (m_b, m_b_bar)):
             assert np.max(np.abs(dagger(m) @ m + dagger(bar) @ bar - ID2)) < 1e-12
         source = CanonicalStateParams(f_src, HALF, HALF, HALF, HALF, 0.0).density()
-        op = kron(m_a, m_b)
+        op = np.kron(m_a, m_b)
         kept = op @ source @ dagger(op)
         kept = kept / np.trace(kept).real
         assert np.max(np.abs(kept - target.density())) < 1e-9
