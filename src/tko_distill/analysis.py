@@ -18,9 +18,9 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .channel import CanonicalChannelParams
+from .channel import _check_domain
 from .distill import DistillationTrace, Policy, _check_budget, _columns, _filter_op
-from .linalg import ATOL, ID2
+from .linalg import ID2
 from .state import CanonicalStateParams
 
 # CNOT on two qubits, control first: the permutation |ab> -> |a, a xor b>.
@@ -42,10 +42,7 @@ def optimal_fidelity_channel(p: float, abs_eta: float) -> float:
     For ``|eta| = 1`` this is exactly 1 whenever ``p < 1``: one round of
     postselection fully repairs any amplitude-damping channel.
     """
-    if not 0.0 <= p < 1.0:
-        raise ValueError("p must lie in [0, 1) for a distillable shared state")
-    if not 0.0 <= abs_eta <= 1.0:
-        raise ValueError("|eta| must lie in [0, 1]")
+    p, abs_eta = map(float, _check_domain(p, abs_eta, distillable=True))
     a = 1.0 - p
     b = 1.0 - abs_eta**2 * p
     return 0.5 + math.sqrt(a * b) / (a + b)
@@ -259,14 +256,6 @@ class SweepPoint:
 SWEEP_COLUMNS = ("p", "abs_eta", "policy", "rounds", "reached", "fidelity_final", "yield_avg")
 
 
-def _channel_for(p: float, abs_eta: float) -> CanonicalChannelParams:
-    """Canonical channel (p, |eta|) with real eta and identity rotations."""
-    if not 0.0 <= abs_eta <= 1.0:
-        raise ValueError(f"|eta| must lie in [0, 1], got {abs_eta!r}")
-    zeta = math.sqrt(max(1.0 - abs_eta**2, 0.0))
-    return CanonicalChannelParams(p=p, eta=complex(abs_eta), zeta=zeta)
-
-
 def _policy_points(policy, p_values, eta_values, p, abs_eta, f_th, max_rounds) -> list[SweepPoint]:
     """One policy's cells as one column stack, returned as sweep points of Python scalars."""
     hist, rounds, errors = _columns(policy, p, abs_eta, f_th, max_rounds)
@@ -286,20 +275,16 @@ def _policy_points(policy, p_values, eta_values, p, abs_eta, f_th, max_rounds) -
 def _sweep(p_values: list, eta_values: list, policies, f_th, max_rounds) -> list[SweepPoint]:
     """Cells (p, |eta|) x policies in grid order; a domain failure folds into its cell.
 
-    The first cell that ``_channel_for`` refuses raises its ValueError; then
-    each policy runs all its cells as one column stack.
+    The whole grid passes the (p, |eta|) domain rule at once; then each policy
+    runs all its cells as one column stack.
     """
     policies = list(policies)
     if not p_values or not policies:
         return []
-    p, abs_eta = np.array(p_values, dtype=float), np.array(eta_values, dtype=float)
-    bad = ~((abs_eta >= 0.0) & (abs_eta <= 1.0) & (p >= -ATOL) & (p <= 1.0 + ATOL))
-    if bad.any():
-        i = int(np.argmax(bad))
-        _channel_for(p_values[i], eta_values[i])
+    p, abs_eta = _check_domain(p_values, eta_values)
     policies = [Policy(pol) for pol in policies]
     _check_budget(f_th, max_rounds)
-    cells = (p_values, eta_values, np.clip(p, 0.0, 1.0), abs_eta, f_th, max_rounds)
+    cells = (p_values, eta_values, p, abs_eta, f_th, max_rounds)
     columns = [_policy_points(pol, *cells) for pol in policies]
     return [pt for cell in zip(*columns) for pt in cell]
 

@@ -27,6 +27,8 @@ _RANK1_TOL = 1e-12
 # cutoff only reclassifies channels with p below ~4e-12 as unitary.
 _UNITARY_TOL = 1e-12
 _PHI_PLUS_STATE = projector(PHI_PLUS)
+# Why a single channel with p >= 1 fails; a sweep folds it into the cell instead.
+_DESTROYED = "p={} leaves no entanglement to distill"
 
 
 def _as_kraus_matrix(m, name: str) -> np.ndarray:
@@ -67,14 +69,14 @@ class CanonicalChannelParams:
     v: np.ndarray = field(default_factory=lambda: ID2.copy())
 
     def __post_init__(self):
-        object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "eta", complex(self.eta))
         object.__setattr__(self, "zeta", float(self.zeta))
         object.__setattr__(self, "u", _as_kraus_matrix(self.u, "u"))
         object.__setattr__(self, "v", _as_kraus_matrix(self.v, "v"))
-        if not -ATOL <= self.p <= 1.0 + ATOL:
-            raise ValueError(f"noise severity p={self.p} outside [0, 1]")
-        object.__setattr__(self, "p", min(max(self.p, 0.0), 1.0))
+        p, abs_eta = _check_domain(self.p, abs(self.eta))
+        object.__setattr__(self, "p", float(p))
+        if abs_eta < abs(self.eta):
+            object.__setattr__(self, "eta", self.eta / abs(self.eta))
         if self.zeta < -ATOL:
             raise ValueError("zeta must be non-negative")
         if abs(abs(self.eta) ** 2 + self.zeta**2 - 1.0) > ATOL:
@@ -87,12 +89,26 @@ class CanonicalChannelParams:
         return abs(self.eta)
 
 
-def check_noise_severity(p: float) -> None:
-    """The one rule on p: p >= 1 leaves no entanglement, p < 0 is malformed."""
-    if p >= 1.0:
-        raise EntanglementDestroyedError(f"p={p} leaves no entanglement to distill")
-    if p < 0.0:
-        raise ValueError("noise severity p must be non-negative")
+def _check_domain(p, abs_eta, distillable: bool = False):
+    """The one rule on (p, |eta|), elementwise; returns both clamped into [0, 1].
+
+    A value within ATOL of [0, 1] is clamped into it, so values inside stay
+    bit-identical; anything else, NaN included, is malformed (ValueError).
+    With ``distillable``, p >= 1 after clamping raises
+    EntanglementDestroyedError: the channel leaves no entanglement.
+    """
+    p, abs_eta = np.asarray(p, dtype=float), np.asarray(abs_eta, dtype=float)
+    for x, text in (
+        (p, "noise severity p={} outside [0, 1]"),
+        (abs_eta, "|eta| must lie in [0, 1], got {}"),
+    ):
+        inside = (x >= -ATOL) & (x <= 1.0 + ATOL)
+        if not inside.all():
+            raise ValueError(text.format(float(x.flat[np.argmin(inside)])))
+    p, abs_eta = np.clip(p, 0.0, 1.0), np.clip(abs_eta, 0.0, 1.0)
+    if distillable and p.max() >= 1.0:
+        raise EntanglementDestroyedError(_DESTROYED.format(float(p.max())))
+    return p, abs_eta
 
 
 def validate(kp: KrausPair) -> ChannelValidation:

@@ -29,7 +29,6 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import (
-    _channel_for,
     _write_table,
     sweep_eta,
     sweep_p,
@@ -39,8 +38,8 @@ from .analysis import (
 from .channel import (
     CanonicalChannelParams,
     KrausPair,
+    _check_domain,
     canonicalize,
-    check_noise_severity,
     kraus_from_params,
     validate,
 )
@@ -52,7 +51,6 @@ from .errors import (
     NonDistillableError,
     SingleKrausChannelError,
 )
-from .linalg import ATOL, ID2
 from .state import canonical_decompose, shared_state
 
 _DOMAIN_CODES = {
@@ -121,6 +119,12 @@ def _params_to_json(cp: CanonicalChannelParams) -> dict:
     }
 
 
+def _channel(p: float, eta: complex, **rotations) -> CanonicalChannelParams:
+    """The canonical channel (p, eta), u and v default to the identity; zeta = sqrt(1 - |eta|^2)."""
+    zeta = math.sqrt(max(1.0 - abs(eta) ** 2, 0.0))
+    return CanonicalChannelParams(p=p, eta=eta, zeta=zeta, **rotations)
+
+
 def _canonical_params_from_json(spec: dict) -> CanonicalChannelParams:
     if not isinstance(spec, dict) or "p" not in spec:
         raise ValueError("'canonical' spec must be an object with at least a 'p' entry")
@@ -132,12 +136,8 @@ def _canonical_params_from_json(spec: dict) -> CanonicalChannelParams:
         eta = complex(float(eta_spec[0]), float(eta_spec[1]))
     else:
         eta = complex(float(eta_spec), 0.0)
-    if abs(eta) > 1.0 + ATOL:
-        raise ValueError("|eta| must not exceed 1")
-    zeta = float(np.sqrt(max(1.0 - abs(eta) ** 2, 0.0)))
-    u = _matrix_from_json(spec["u"], "u") if "u" in spec else ID2.copy()
-    v = _matrix_from_json(spec["v"], "v") if "v" in spec else ID2.copy()
-    return CanonicalChannelParams(p=p, eta=eta, zeta=zeta, u=u, v=v)
+    rotations = {key: _matrix_from_json(spec[key], key) for key in ("u", "v") if key in spec}
+    return _channel(p, eta, **rotations)
 
 
 def _spec_from_json(obj) -> KrausPair | CanonicalChannelParams:
@@ -176,7 +176,8 @@ def _load_spec(args) -> KrausPair | CanonicalChannelParams:
             return _spec_from_json(json.load(fh))
     if args.p is None or args.eta is None:
         raise ValueError("channel input required: --in FILE or both --p and --eta")
-    return _channel_for(args.p, args.eta)
+    # --eta is |eta| itself, so a negative value is out of its domain, not a phase.
+    return _channel(args.p, float(_check_domain(args.p, args.eta)[1]))
 
 
 def _params_of(spec: KrausPair | CanonicalChannelParams) -> CanonicalChannelParams:
@@ -205,7 +206,8 @@ def _cmd_canonicalize(args) -> int:
 
 def _cmd_state(args) -> int:
     spec = _load_spec(args)
-    check_noise_severity(_params_of(spec).p)
+    cp = _params_of(spec)
+    _check_domain(cp.p, cp.abs_eta, distillable=True)
     params = canonical_decompose(shared_state(_as_kraus(spec)))
     header = ["fidelity", "alpha", "beta", "gamma", "delta", "theta"]
     row = [getattr(params, c) for c in header]
@@ -304,7 +306,7 @@ def _figure_two_rows() -> tuple[list[str], list[list]]:
         traces: dict[Policy, DistillationTrace | None] = {}
         for pol in policies:
             try:
-                traces[pol] = run(_channel_for(p, abs_eta), pol)
+                traces[pol] = run(_channel(p, abs_eta), pol)
             except DomainError:
                 traces[pol] = None
         depth = max(len(t.records) for t in traces.values() if t is not None)

@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .channel import CanonicalChannelParams, check_noise_severity, kraus_from_params
+from .channel import _DESTROYED, CanonicalChannelParams, _check_domain, kraus_from_params
 from .errors import DegenerateProtocolError, EntanglementDestroyedError, NonDistillableError
 from .linalg import HADAMARD, ID2, PHI_PLUS, dagger, pure_fidelity
 from .state import CanonicalStateParams, canonical_decompose, params_analytic, shared_state
@@ -310,8 +310,7 @@ def _columns(policy: Policy, p, abs_eta, f_th: float, max_rounds: int):
             cells = _bbpssw_column(bbpssw_initial_fidelity(f0, alpha, beta), f_th, max_rounds)
         else:
             cells = _recurrence_column(policy, f0, alpha, beta, gamma, delta, f_th, max_rounds)
-    text = "p={} leaves no entanglement to distill"
-    cells[2].update(_refuse(dead, EntanglementDestroyedError, text, p))
+    cells[2].update(_refuse(dead, EntanglementDestroyedError, _DESTROYED, p))
     return cells
 
 
@@ -391,7 +390,7 @@ def run(
     """
     policy = Policy(policy)
     _check_budget(f_th, max_rounds)
-    check_noise_severity(channel.p)
+    _check_domain(channel.p, channel.abs_eta, distillable=True)
     engine = "analytic" if engine is None else engine
     if engine not in _ENGINES[policy]:
         raise ValueError(f"{policy.name} has no {engine!r} engine; use {_ENGINES[policy][0]!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import KrausPair, check_noise_severity, choi
+from .channel import KrausPair, _check_domain, choi
 from .errors import NonDistillableError
 from .linalg import (
     ATOL,
@@ -103,15 +103,12 @@ def params_analytic(p: float, abs_eta: float) -> tuple[float, float, float, floa
     """Closed-form (F, alpha, beta, gamma, delta) for a canonical channel.
 
     p = 0 returns the noiseless convention F = 1, all weights 1/sqrt2.
-    Scalars are checked and give floats; arrays of (p, |eta|) already in
-    [0, 1) x [0, 1] give arrays, elementwise.
+    Scalars pass the (p, |eta|) domain rule and give floats; arrays of
+    (p, |eta|) already in [0, 1) x [0, 1] give arrays, elementwise.
     """
     if np.ndim(p) == 0:
-        p, abs_eta = float(p), float(abs_eta)
-        check_noise_severity(p)
-        if not 0.0 <= abs_eta <= 1.0 + ATOL:
-            raise ValueError("|eta| must lie in [0, 1]")
-        return tuple(float(x[0]) for x in params_analytic(np.array([p]), np.array([abs_eta])))
+        p, abs_eta = _check_domain(p, abs_eta, distillable=True)
+        return tuple(float(x[0]) for x in params_analytic(p.reshape(1), abs_eta.reshape(1)))
     root = np.sqrt((1.0 - p) * (1.0 - abs_eta**2 * p))
     f = 0.5 + 0.5 * root
     noiseless = f >= 1.0 - 1e-15

@@ -18,6 +18,7 @@ from helpers import (
 )
 from tko_distill import (
     DistillationTrace,
+    EntanglementDestroyedError,
     Policy,
     RoundRecord,
     average_yield,
@@ -72,7 +73,7 @@ def test_optimal_fidelity_matches_filter_round_on_grid():
 def test_optimal_fidelity_validates_domain():
     with pytest.raises(ValueError):
         optimal_fidelity_params(0.5, HALF, HALF, HALF, HALF)
-    with pytest.raises(ValueError):
+    with pytest.raises(EntanglementDestroyedError):
         optimal_fidelity_channel(1.0, 0.5)
     with pytest.raises(ValueError):
         optimal_fidelity_channel(0.5, 1.5)
