@@ -77,8 +77,8 @@ class CanonicalChannelParams:
         object.__setattr__(self, "p", float(p))
         if abs_eta < abs(self.eta):
             object.__setattr__(self, "eta", self.eta / abs(self.eta))
-        if self.zeta < -ATOL:
-            raise ValueError("zeta must be non-negative")
+        if not self.zeta >= -ATOL:  # NaN fails it too
+            raise ValueError(f"zeta must be a non-negative number, got {self.zeta}")
         if abs(abs(self.eta) ** 2 + self.zeta**2 - 1.0) > ATOL:
             raise ValueError("|eta|^2 + zeta^2 must equal 1")
         if not is_unitary(self.u) or not is_unitary(self.v):

@@ -8,7 +8,9 @@ rank-2 state that local unitaries u_a, u_b bring to the two-term mixture
 
 with all coefficients real non-negative and ordered
 gamma <= beta <= 1/sqrt2 <= alpha <= delta.  `canonical_decompose` recovers
-(F, alpha, beta, gamma, delta, theta, u_a, u_b) from the density matrix;
+(F, alpha, beta, gamma, delta, theta, u_a, u_b) from the density matrix: a
+mixed state through one rotation built from its two eigenvectors, the pure
+noiseless state through the Schmidt basis of its one eigenvector.
 `params_analytic` evaluates the closed forms directly from (p, |eta|).
 """
 
@@ -32,16 +34,11 @@ from .linalg import (
     schmidt,
 )
 
-# The generic path reads u_a, u_b off the Schmidt basis of the top eigenvector.
-# Rounding moves that eigenvector by ~eps / (2F - 1), the eigenvalue gap, and
-# the Schmidt step amplifies this by 1 / (alpha - beta).  Below this product
-# the rotation built from both eigenvectors (_degenerate_rotations) is used
-# instead; it stays accurate as the Schmidt gap closes.
-_DEGENERATE_GAP = 1e-8
-# Top eigenvalues within this of 1/2 count as 1/2.  It sits far above
-# eigenvalue rounding (~1e-16) and below F - 1/2 = (1 - p)/2 of amplitude
-# damping at p = 1 - 1e-9, which the closed forms still distill.
-_HALF_TOL = 1e-12
+# Top eigenvalues within this of 1/2 count as 1/2.  It sits above eigenvalue
+# rounding (F - 1/2 of a dressed 1/2 Phi+ + 1/2 nu state rounds to < 1e-15) and
+# below F - 1/2 = (1 - p)/2 of amplitude damping at p = 1 - 1e-13, which the
+# closed forms still distill.
+_HALF_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -134,17 +131,17 @@ def _bloch_spinor(axis: np.ndarray) -> np.ndarray:
     return np.array([np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * az)])
 
 
-def _degenerate_rotations(psi: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Local rotations from both eigenvectors, for a (nearly) maximally entangled psi.
+def _local_rotations(
+    psi: np.ndarray, phi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alpha, beta) and the local rotations u_a, u_b, built from both eigenvectors.
 
-    Near maximal entanglement the Schmidt basis of psi is ill-conditioned or
-    not unique, and will not reliably steer the second eigenvector phi into
-    span{|01>, |10>}.  Writing W = sqrt2 * mat(psi), orthogonality of psi and
-    phi makes G = sqrt2 * mat(phi) W^dag traceless.  With u_b the unitary
-    polar factor of conj(u_a W), P = u_a W u_b^T is positive (diagonal for a
-    TKO state once u_a is right) and the rotated phi has matrix
-    (u_a G u_a^dag) P^-1 / sqrt2, so phi lands in span{|01>, |10>} exactly
-    when that conjugation zeroes G's diagonal.
+    Writing W = sqrt2 * mat(psi), orthogonality of psi and phi makes
+    G = sqrt2 * mat(phi) W^dag traceless.  With u_b the unitary polar factor
+    of conj(u_a W), P = u_a W u_b^T is positive (diagonal for a TKO state once
+    u_a is right, with sqrt2 (alpha, beta) as its singular values) and the
+    rotated phi has matrix (u_a G u_a^dag) P^-1 / sqrt2, so phi lands in
+    span{|01>, |10>} exactly when that conjugation zeroes G's diagonal.
 
     Writing G = g . sigma (complex Pauli vector g), the diagonal of the
     conjugated G is the projection of g onto the rotated z-axis, so u_a must
@@ -184,7 +181,7 @@ def _degenerate_rotations(psi: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray,
         v = _bloch_spinor(axis)
         u_a = np.array([[v[0].conj(), v[1].conj()], [-v[1], v[0]]])
 
-    left, _, right = np.linalg.svd((u_a @ w).conj())
+    left, s, right = np.linalg.svd((u_a @ w).conj())
     u_b = left @ right
     # Orientation: keep the smaller nu component on |01> (gamma <= delta);
     # X (x) X swaps both while fixing |Phi+>.  A tie (gamma = delta, the
@@ -199,19 +196,18 @@ def _degenerate_rotations(psi: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray,
     phases = column_phases(u_a.T)[:, None]
     u_a = phases.conj() * u_a
     u_b = phases * u_b
-    return u_a, u_b
+    return s / np.sqrt(2.0), u_a, u_b
 
 
 def canonical_decompose(rho: np.ndarray) -> CanonicalStateParams:
     """Recover the canonical mixture parameters of a TKO-channel state.
 
-    The construction follows the rank-2 spectral decomposition: the top
-    eigenvector is Schmidt-rotated onto alpha|00> + beta|11>, which is
-    guaranteed (for genuine TKO states) to carry the second eigenvector into
-    span{|01>, |10>}, where gamma, delta and theta are read off.  Top
-    eigenvectors too close to maximally entangled for that rotation take a
-    dedicated branch (see _degenerate_rotations); the pure noiseless case
-    keeps the Schmidt rotation and fixes nu by convention.
+    The construction follows the rank-2 spectral decomposition.  A mixed
+    state takes its local rotations from both eigenvectors (see
+    _local_rotations): they carry the top eigenvector onto
+    alpha|00> + beta|11> and the second into span{|01>, |10>}, where gamma,
+    delta and theta are read off.  The pure noiseless state takes the Schmidt
+    rotation of its one eigenvector and fixes nu by convention.
 
     Raises ValueError for states of rank > 2 or states that are not locally
     equivalent to the canonical form, and NonDistillableError when the top
@@ -228,22 +224,17 @@ def canonical_decompose(rho: np.ndarray) -> CanonicalStateParams:
             f"fidelity weight {f:.6f} is at or below 1/2; state cannot be distilled"
         )
     psi, phi = evecs[:, 0], evecs[:, 1]
-    sch = schmidt(psi)
-    alpha, beta = float(sch.coeffs[0]), float(sch.coeffs[1])
-    if beta > alpha:
-        # The svd tie-break may reorder coefficients equal up to rounding.
-        alpha, beta = beta, alpha
-
-    pure = f >= 1.0 - ATOL
-    if not pure and (alpha - beta) * (2.0 * f - 1.0) < _DEGENERATE_GAP:
-        u_a, u_b = _degenerate_rotations(psi, phi)
-    else:
-        u_a, u_b = dagger(sch.basis_a), dagger(sch.basis_b)
-
-    if pure:
+    if f >= 1.0 - ATOL:
         # Maximally entangled pure state; nu carries no weight, fix it by convention.
-        f, gamma, delta, theta = 1.0, np.sqrt(0.5), np.sqrt(0.5), 0.0
+        sch = schmidt(psi)
+        # The svd tie-break may reorder coefficients equal up to rounding.
+        alpha, beta = sorted(sch.coeffs, reverse=True)
+        half = np.sqrt(0.5)
+        params = CanonicalStateParams(
+            1.0, alpha, beta, half, half, 0.0, dagger(sch.basis_a), dagger(sch.basis_b)
+        )
     else:
+        (alpha, beta), u_a, u_b = _local_rotations(psi, phi)
         nu_raw = np.kron(u_a, u_b) @ phi
         gamma_amp, delta_amp = nu_raw[1], nu_raw[2]
         scale = float(np.hypot(abs(gamma_amp), abs(delta_amp)))
@@ -254,16 +245,14 @@ def canonical_decompose(rho: np.ndarray) -> CanonicalStateParams:
         if gamma > 1e-9:
             theta = float(np.angle(delta_amp / gamma_amp))
         else:
-            gamma = 0.0
-            delta = 1.0
-            theta = 0.0
-    params = CanonicalStateParams(f, alpha, beta, gamma, delta, theta, u_a, u_b)
+            gamma, delta, theta = 0.0, 1.0, 0.0
+        params = CanonicalStateParams(f, alpha, beta, gamma, delta, theta, u_a, u_b)
     _require_reconstruction(params, rho)
     return params
 
 
 def _require_reconstruction(params: CanonicalStateParams, rho: np.ndarray) -> None:
-    # 10x headroom over the worst-case construction error at the branch switch.
+    # Over 10x headroom on the worst construction error seen on dressed edge channels.
     dev = verify_canonical(params, rho)
     if dev > 1e-7:
         raise ValueError(

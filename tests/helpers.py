@@ -1,11 +1,11 @@
 """Shared helpers for the test suite: parameter grids, random channels, channel
 spec files for the CLI, the round-1 closed-form and optimal-fidelity oracles,
-the 60-digit oracle for the closed-form state parameters, the 16x16 two-pair
-oracle for the exact round, the scalar one-cell oracle for the column round
-loop, the 60-digit oracle for QPA's agreeing-branch map, the einsum oracle for
-the random LOCC search, and small tools that only the tests use (partial
-trace, Schmidt reconstruction, branch-by-branch rounds, steering operators,
-stacked canonical states)."""
+the 60-digit oracles for the closed-form state parameters and for the plain
+channel's local frame, the 16x16 two-pair oracle for the exact round, the
+scalar one-cell oracle for the column round loop, the 60-digit oracle for
+QPA's agreeing-branch map, the einsum oracle for the random LOCC search, and
+small tools that only the tests use (partial trace, Schmidt reconstruction,
+branch-by-branch rounds, steering operators, stacked canonical states)."""
 
 from __future__ import annotations
 
@@ -154,6 +154,31 @@ def oracle_params_60(p: float, abs_eta: float) -> tuple[float, float, float, flo
         gamma2 = half - abs_eta * p / (4 * (1 - f))
         weights = (alpha2, 1 - alpha2, gamma2, 1 - gamma2)
         return (float(f), *(float(mpmath.sqrt(w)) for w in weights))
+
+
+def oracle_frame(p: float, abs_eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Local frame (u_a, u_b) of the plain canonical channel (p, |eta|) at 60 digits.
+
+    With R(phi) = [[cos phi, sin phi], [-sin phi, cos phi]] and
+    zeta = sqrt(1 - |eta|^2): u_a = R(phi_a), u_b = R(phi_b), where
+    tan 2 phi_a = zeta / (|eta| sqrt(1 - p)) and tan 2 phi_b = zeta / |eta|;
+    theta is 0.  Both angles lie in [0, pi/4), so the largest entry of each
+    u_a row is already real positive (the library's gauge).  |eta| = 0 gives
+    the Hadamard pair, the library's tie convention.  Each entry is rounded
+    to the nearest double at the end.
+    """
+    if abs_eta == 0.0:
+        return HADAMARD.copy(), HADAMARD.copy()
+    with mpmath.workdps(60):
+        p, abs_eta = mpmath.mpf(p), mpmath.mpf(abs_eta)
+        zeta = mpmath.sqrt(1 - abs_eta**2)
+
+        def rotation(tan_num, tan_den):
+            phi = mpmath.atan2(tan_num, tan_den) / 2
+            c, s = float(mpmath.cos(phi)), float(mpmath.sin(phi))
+            return np.array([[c, s], [-s, c]], dtype=complex)
+
+        return rotation(zeta, abs_eta * mpmath.sqrt(1 - p)), rotation(zeta, abs_eta)
 
 
 def first_round_closed_form(

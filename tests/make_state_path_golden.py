@@ -36,8 +36,11 @@ DRESSED_SEED = 20261019
 DRESSED_COUNT = 100
 EXACT_POLICIES = ("fp", "pp", "qpa")
 
-# canonical_decompose's branch rule: pure at F >= 1 - 1e-9, else the
-# two-eigenvector (degenerate) rotation where (alpha - beta)(2F - 1) < 1e-8.
+# Region labels of a record.  "pure" is canonical_decompose's pure branch
+# (F >= 1 - 1e-9).  Every mixed state takes the same two-eigenvector rotation;
+# "degenerate" and "generic" label Schmidt-gap regions, not code paths: the
+# top eigenvector's Schmidt gap times the eigenvalue gap, (alpha - beta)(2F - 1),
+# below or above 1e-8.
 DEGENERATE_GAP = 1e-8
 PURE_F = 1.0 - 1e-9
 

@@ -230,10 +230,19 @@ def test_distill_engine_cross_check(cli):
 
 
 @pytest.mark.parametrize("policy", ["fp", "pp"])
-@pytest.mark.parametrize("abs_eta", ["1e-05", "1"])
-def test_distill_exact_engine_at_the_edge_of_the_domain(cli, policy, abs_eta):
+@pytest.mark.parametrize(
+    "p, abs_eta",
+    [
+        pytest.param("0.999999999", "1e-05", id="1e-05"),
+        pytest.param("0.999999999", "1", id="1"),
+        # F - 1/2 = (1 - p)/2 down to 5e-14 at amplitude damping.
+        pytest.param("0.999999999999", "1", id="1-p=1-1e-12"),
+        pytest.param("0.9999999999999", "1", id="1-p=1-1e-13"),
+    ],
+)
+def test_distill_exact_engine_at_the_edge_of_the_domain(cli, policy, p, abs_eta):
     rc, out, err = cli(
-        "distill", "--p", "0.999999999", "--eta", abs_eta, "--policy", policy,
+        "distill", "--p", p, "--eta", abs_eta, "--policy", policy,
         "--engine", "exact", "--check-analytic", "--format", "json",
     )
     assert rc == 0, err

@@ -380,6 +380,20 @@ def test_run_at_the_edge_of_the_domain():
     traces = {pol: run(near_phase, pol) for pol in (Policy.FP, Policy.PP, Policy.BBPSSW)}
     f1 = traces[Policy.FP].records[1].fidelity
     assert abs(f1 - optimal_fidelity_channel(p, 1e-5)) < 1e-12
+    # Amplitude damping closer to p = 1: the exact engine follows the closed
+    # forms while F - 1/2 = (1 - p)/2 stays above canonical_decompose's 1e-14
+    # cut, and refuses the state below it.
+    for p in (1.0 - 1e-12, 1.0 - 1e-13):
+        for policy in (Policy.FP, Policy.PP):
+            t_a = run(plain_params(p, 1.0), policy)
+            t_e = run(plain_params(p, 1.0), policy, engine="exact")
+            assert t_e.reached and len(t_e.records) == len(t_a.records), (p, policy)
+            for ra, re in zip(t_a.records, t_e.records):
+                assert abs(ra.fidelity - re.fidelity) < 1e-15, (p, policy)
+                assert abs(ra.keep_prob - re.keep_prob) < 1e-15, (p, policy)
+    assert run(plain_params(1.0 - 1e-15, 1.0), Policy.FP).reached
+    with pytest.raises(NonDistillableError):
+        run(plain_params(1.0 - 1e-15, 1.0), Policy.FP, engine="exact")
 
 
 def test_run_clamps_p_within_tolerance_of_the_domain():

@@ -46,6 +46,13 @@ INPUTS = [
     (0.5, NAN, (ValueError, "|eta| must lie in [0, 1], got nan")),
 ]
 
+# zeta, given to CanonicalChannelParams at |eta| = 0.5, and the error it must raise.
+# The CLI computes zeta from eta, so only the library takes it.
+ZETA_INPUTS = [
+    (NAN, "zeta must be a non-negative number, got nan"),
+    (math.inf, "|eta|^2 + zeta^2 must equal 1"),
+]
+
 CLI_ERRORS = {ValueError: (1, "input-error"), EntanglementDestroyedError: (2, "entanglement-destroyed")}
 
 
@@ -135,3 +142,10 @@ def test_cli_entry_follows_the_domain_rule(entry, p, abs_eta, want, capsys, tmp_
         clamped = _cli(entry, *want, capsys, tmp_path)
         assert isinstance(clamped, str), clamped
         assert got == clamped
+
+
+@pytest.mark.parametrize("zeta, message", ZETA_INPUTS)
+def test_canonical_params_reject_bad_zeta(zeta, message):
+    with pytest.raises(ValueError) as err:
+        CanonicalChannelParams(0.5, eta=0.5, zeta=zeta)
+    assert str(err.value) == message

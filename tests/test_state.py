@@ -227,7 +227,7 @@ def test_canonical_decompose_dressed_random_channels():
 
 def test_canonical_decompose_degenerate_family():
     # |eta| = 0 keeps both eigenvectors maximally entangled (alpha = beta),
-    # exercising the dedicated degenerate construction.
+    # exercising the rotation's unitary-G branch.
     rng = np.random.default_rng(202)
     for _ in range(40):
         kp, p, _ = random_channel(rng, complex_eta=False, dressed=True)
