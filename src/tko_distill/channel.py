@@ -166,28 +166,24 @@ def _fold_to_rank_one(kp: KrausPair) -> KrausPair:
     """Remix the pair so the second operator has rank one.
 
     If c2 already has rank one (or zero) the pair is returned unchanged.
-    Otherwise the quadratic det(-c1 + x c2) = 0 is solved (its leading
-    coefficient det(c2) is nonzero in this branch) and the root whose remix
-    produces the smaller residual second singular value is kept.
+    Otherwise det(-c1 + x c2) = 0 is a quadratic with leading coefficient
+    det(c2) != 0, and the pair is remixed once, by its root of larger modulus.
+    Either root gives a valid canonical form with the same p and |eta|; they
+    differ in u, v and the phase of eta.  The larger root tends to infinity
+    as det(c2) -> 0, where its remix tends to the identity, so the rule meets
+    the rank-one case above continuously, and it does not hinge on rounding
+    unless the two moduli tie (a double root as |eta| -> 1).
     """
     c1, c2 = kp.c1, kp.c2
-    s2 = np.linalg.svd(c2, compute_uv=False)
-    if s2[1] <= _RANK1_TOL:
+    if np.linalg.svd(c2, compute_uv=False)[1] <= _RANK1_TOL:
         return kp
     # det(-c1 + x c2) = det(c2) x^2 + (tr(c1 c2) - tr(c1) tr(c2)) x + det(c1)
     qa = np.linalg.det(c2)
     qb = np.trace(c1 @ c2) - np.trace(c1) * np.trace(c2)
     qc = np.linalg.det(c1)
-    roots = np.roots([qa, qb, qc])
-    best = None
-    for x0 in roots:
-        norm = np.sqrt(1.0 + abs(x0) ** 2)
-        a = np.array([[np.conj(x0), -1.0], [1.0, x0]], dtype=complex) / norm
-        candidate = remix(kp, a)
-        resid = np.linalg.svd(candidate.c2, compute_uv=False)[1]
-        if best is None or resid < best[0]:
-            best = (resid, candidate)
-    return best[1]
+    x0 = max(np.roots([qa, qb, qc]), key=abs)
+    a = np.array([[np.conj(x0), -1.0], [1.0, x0]], dtype=complex)
+    return remix(kp, a / np.sqrt(1.0 + abs(x0) ** 2))
 
 
 def canonicalize(kp: KrausPair) -> CanonicalChannelParams:

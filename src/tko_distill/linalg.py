@@ -1,8 +1,9 @@
 """Dense complex linear algebra helpers for few-qubit density matrices.
 
 Everything here is a pure function on small (2x2 .. 4x4) numpy arrays.
-Decompositions wrap LAPACK but pin the ordering and phase gauge so that
-repeated runs produce identical matrices.
+Decompositions wrap LAPACK and pin the phase gauge of each column, so that
+repeated runs produce identical matrices.  Only `svd` also pins the order
+inside tied values; `eig_hermitian` keeps LAPACK's descending order.
 """
 
 from __future__ import annotations
@@ -84,7 +85,9 @@ def _order_degenerate(vals: np.ndarray, *mats: np.ndarray) -> None:
 
     Ties are resolved by descending lexicographic order on the gauge-fixed
     leading column of mats[0], which keeps e.g. the identity decomposition
-    in natural basis order.
+    in natural basis order.  Only `svd` applies it: the Schmidt basis of a
+    near-maximally entangled state rests on it.  An eigenvalue tie is left in
+    LAPACK's order, because a value 1e-13 smaller could otherwise come first.
     """
     scale = max(1.0, float(np.max(np.abs(vals)))) if vals.size else 1.0
     i = 0
@@ -119,9 +122,7 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, vecs = np.linalg.eigh((h + dagger(h)) / 2.0)
     w = np.ascontiguousarray(w[::-1])
     vecs = vecs[:, ::-1]
-    vecs = vecs / column_phases(vecs)
-    _order_degenerate(w, vecs)
-    return w, vecs
+    return w, vecs / column_phases(vecs)
 
 
 @dataclass(frozen=True)

@@ -72,18 +72,21 @@ def random_channel(
     complex_eta: bool = True,
     dressed: bool = True,
     remixed: bool = True,
+    abs_eta: float | None = None,
 ) -> tuple[KrausPair, float, float]:
     """Random two-Kraus channel; returns (kraus_pair, p, |eta|).
 
     `dressed` draws Haar-random basis rotations, `remixed` scrambles the two
     Kraus operators by a random unitary recombination (which leaves the
-    channel map itself unchanged).
+    channel map itself unchanged).  |eta| = sin of a uniform angle unless given.
     """
     if p is None:
         p = float(rng.uniform(0.01, 0.99))
-    angle = float(rng.uniform(0.0, np.pi / 2.0))
-    abs_eta = float(np.sin(angle))
-    zeta = float(np.cos(angle))
+    if abs_eta is None:
+        angle = float(rng.uniform(0.0, np.pi / 2.0))
+        abs_eta, zeta = float(np.sin(angle)), float(np.cos(angle))
+    else:
+        zeta = float(np.sqrt(1.0 - abs_eta**2))
     phase = np.exp(2j * np.pi * rng.uniform()) if complex_eta else 1.0
     u = haar_unitary(rng) if dressed else ID2.copy()
     v = haar_unitary(rng) if dressed else ID2.copy()

@@ -104,6 +104,25 @@ def test_canonicalize_roundtrip_random_channels():
     assert worst_choi < 1e-10
 
 
+def test_canonicalize_frame_does_not_follow_rounding():
+    # Both roots of the fold's quadratic give a valid canonical form, with the
+    # same p and |eta| but a different u, v and eta phase.  The rule picks one,
+    # so 1e-16 of noise on the pair must not switch to the other.  |eta| >= 0.99
+    # is left out: as |eta| -> 1 the quadratic has a double root, and the remix
+    # is known only to about 1e-8 there.
+    rng = np.random.default_rng(2206)
+    noise_rng = np.random.default_rng(5)
+    for i in range(100):
+        abs_eta = 0.0 if i % 5 == 0 else float(rng.uniform(0.0, 0.99))
+        kp, _, _ = random_channel(rng, abs_eta=abs_eta)
+        noise = noise_rng.standard_normal((2, 2, 2)) + 1j * noise_rng.standard_normal((2, 2, 2))
+        plain = canonicalize(kp)
+        nudged = canonicalize(KrausPair(kp.c1 + 1e-16 * noise[0], kp.c2 + 1e-16 * noise[1]))
+        assert np.max(np.abs(nudged.u - plain.u)) < 1e-10, i
+        assert np.max(np.abs(nudged.v - plain.v)) < 1e-10, i
+        assert abs(nudged.eta - plain.eta) < 1e-10, i
+
+
 def test_remix_preserves_choi_and_validates():
     rng = np.random.default_rng(8)
     kp, _, _ = random_channel(rng, remixed=False)

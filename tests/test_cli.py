@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -9,6 +10,7 @@ import pytest
 
 from helpers import matrix_json, plain_params, random_channel, write_spec
 from tko_distill import KrausPair, canonicalize, kraus_from_params, params_analytic
+from tko_distill import cli as cli_module
 from tko_distill.cli import main
 
 
@@ -247,6 +249,35 @@ def test_distill_exact_engine_at_the_edge_of_the_domain(cli, policy, p, abs_eta)
     )
     assert rc == 0, err
     assert json.loads(out)["reached"]
+
+
+@pytest.mark.parametrize(
+    "skew, verdict",
+    [("fidelity", "round 1 fidelity differs by 1.000e-06"), ("round", "round counts differ: 1 vs 2")],
+)
+def test_distill_cross_check_reports_engine_mismatch(cli, monkeypatch, skew, verdict):
+    # The engines agree here; a skewed analytic trace stands in for a
+    # disagreement, so no real mismatch is pinned as the expected output.
+    real_run = cli_module.run
+
+    def skewed_run(cp, policy, engine, **budget):
+        trace = real_run(cp, policy, engine=engine, **budget)
+        if engine == "exact":
+            return trace
+        *head, last = trace.records
+        if skew == "fidelity":
+            records = (*head, dataclasses.replace(last, fidelity=last.fidelity - 1e-6))
+        else:
+            records = (*head, last, dataclasses.replace(last, round_index=last.round_index + 1))
+        return dataclasses.replace(trace, records=records)
+
+    monkeypatch.setattr(cli_module, "run", skewed_run)
+    rc, out, err = cli(
+        "distill", "--p", "0.8", "--eta", "1.0", "--policy", "fp",
+        "--engine", "exact", "--check-analytic", "--format", "json",
+    )
+    assert rc == 3 and out == ""
+    assert json.loads(err) == {"error": "engine-mismatch", "detail": verdict}
 
 
 def test_distill_cross_check_requires_exact_engine(cli):

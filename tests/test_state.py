@@ -225,6 +225,21 @@ def test_canonical_decompose_dressed_random_channels():
         assert verify_canonical(prm, rho) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "p", [1.0 - 9e-14, 1.0 - 5e-14, 1.0 - 3e-14], ids=["1-p=9e-14", "1-p=5e-14", "1-p=3e-14"]
+)
+def test_canonical_decompose_dressed_amplitude_damping_near_p_one(p):
+    # The top two eigenvalues lie within 1e-13 of each other here.  They must
+    # keep their order, or the smaller one is read as F <= 1/2 and a
+    # distillable channel is refused.  The frame itself is known only to about
+    # eps/(2F - 1), so only F is held to the closed form.
+    rng = np.random.default_rng(int(round((1.0 - p) * 1e14)))
+    f = params_analytic(p, 1.0)[0]
+    for _ in range(20):
+        kp, _, _ = random_channel(rng, p=p, abs_eta=1.0, remixed=False)
+        assert abs(canonical_decompose(shared_state(kp)).fidelity - f) < 1e-15
+
+
 def test_canonical_decompose_degenerate_family():
     # |eta| = 0 keeps both eigenvectors maximally entangled (alpha = beta),
     # exercising the rotation's unitary-G branch.
