@@ -129,8 +129,24 @@ def fp_branch_operators(
     return n_a, n_b
 
 
-# Operator pairs drawn per batch; the batch arrays set the search's peak memory.
+# Operator pairs drawn per generator call; it fixes which normal goes to which
+# operator, so every seeded result depends on it.
 _LOCC_CHUNK = 20_000
+# Operator pairs evaluated together; it keeps the kernel's temporaries in cache.
+_LOCC_BLOCK = 2_048
+
+
+def _locc_best(weighted: np.ndarray, draws: np.ndarray) -> float:
+    """Best fidelity over one chunk's draws, shaped (4, n, 4, 4): Re, Im of N_A, then of N_B.
+
+    The chunk is freed when this returns, before the next one is drawn.
+    """
+    best = 0.0
+    for start in range(0, draws.shape[1], _LOCC_BLOCK):
+        re_a, im_a, re_b, im_b = draws[:, start : start + _LOCC_BLOCK]
+        num, den = _locc_num_den(weighted, re_a + 1j * im_a, re_b + 1j * im_b)
+        best = max(best, float(np.max(num / den)))
+    return best
 
 
 def random_locc_check(
@@ -145,17 +161,14 @@ def random_locc_check(
     a valid measurement branch.  The maximum should never exceed
     ``optimal_fidelity_channel`` beyond numerical noise.
     """
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     weighted = _locc_template(params)
-    best = 0.0
-    for start in range(0, samples, _LOCC_CHUNK):
-        shape = (min(_LOCC_CHUNK, samples - start), 4, 4)
-        n_a, n_b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "ab")
-        num, den = _locc_num_den(weighted, n_a, n_b)
-        best = max(best, float(np.max(num / den)))
-    return best
+    return max(
+        _locc_best(weighted, rng.standard_normal((4, min(_LOCC_CHUNK, samples - start), 4, 4)))
+        for start in range(0, samples, _LOCC_CHUNK)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import io
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,12 +147,45 @@ def test_locc_fidelity_ignores_operator_scale():
     "p, abs_eta, samples, seed",
     [(p, a, 2000, seed) for p, a in ((0.4, 0.0), (0.7, 1.0), (0.5, HALF)) for seed in (0, 1, 12345)]
     # One full batch plus a one-sample tail batch.
-    + [(0.6, 0.38, 20_001, 5)],
+    + [(0.6, 0.38, 20_001, 5)]
+    # At and across the 2,048-pair evaluation block; one chunk plus one block and one pair.
+    + [(0.3, 0.9, 2048, 6), (0.8, 0.2, 2049, 7), (0.5, 0.5, 22_049, 8)],
 )
 def test_random_locc_check_matches_unit_norm_oracle(p, abs_eta, samples, seed):
     prm = analytic_state_params(p, abs_eta)
     got = random_locc_check(prm, samples=samples, seed=seed)
     assert abs(got - oracle_random_locc_check(prm, samples, seed)) < 1e-14
+
+
+def _traced_peak_mib(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_random_locc_check_holds_one_chunk_of_draws():
+    # numpy reports its buffers to tracemalloc.  One chunk's draws are 9.8 MiB;
+    # a second chunk alive while the next is drawn would add as much again.
+    prm = analytic_state_params(0.5, HALF)
+    one_chunk = _traced_peak_mib(lambda: random_locc_check(prm, samples=20_000, seed=1))
+    five_chunks = _traced_peak_mib(lambda: random_locc_check(prm, samples=100_000, seed=1))
+    assert five_chunks <= 24.0
+    assert five_chunks - one_chunk < 1.0
+
+
+@pytest.mark.parametrize("samples", [2.5, "3", True, 0])
+def test_random_locc_check_takes_only_a_positive_integer_sample_count(samples):
+    prm = analytic_state_params(0.5, HALF)
+    with pytest.raises(ValueError, match=re.escape(f"samples must be an integer >= 1, got {samples!r}")):
+        random_locc_check(prm, samples=samples)
+
+
+def test_random_locc_check_takes_a_numpy_integer_sample_count():
+    prm = analytic_state_params(0.5, HALF)
+    assert random_locc_check(prm, samples=np.int64(50), seed=3) == random_locc_check(prm, samples=50, seed=3)
 
 
 def test_locc_fidelity_validates_shapes():
